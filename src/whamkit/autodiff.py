@@ -244,6 +244,13 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
 
+def cumsum(a, axis=0) -> Tensor:
+    """Running sum along one axis, accumulated in index order."""
+    a = as_tensor(a)
+    return _node(np.cumsum(a.data, axis=axis), (a,),
+                 lambda g: (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),))
+
+
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     shape = a.data.shape

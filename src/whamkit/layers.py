@@ -136,6 +136,9 @@ class GruLayer:
     r = sigmoid(x W_r + h U_r + b_r)
     hc = tanh(x W_h + (r * h) U_h + b_h)
     h' = (1 - z) * h + z * hc
+
+    sequence() runs the whole recurrence as one tape node with a hand-written
+    backward pass through time; step() is its single-frame case.
     """
 
     def __init__(self, params: ParamSet, name: str, in_dim: int, hidden_dim: int,
@@ -148,22 +151,88 @@ class GruLayer:
             add(f"{name}.w_{gate}", _init_uniform(rng, (in_dim, hidden_dim), in_dim))
             add(f"{name}.u_{gate}", _init_uniform(rng, (hidden_dim, hidden_dim), hidden_dim))
             add(f"{name}.b_{gate}", _init_uniform(rng, (hidden_dim,), in_dim))
-        self._p = params
-        self._prefix = name
-
-    def _g(self, key: str) -> Tensor:
-        return self._p[f"{self._prefix}.{key}"]
+        # Registration order, which is also the order of sequence()'s parents.
+        self.weights = tuple(params[f"{name}.{k}_{gate}"]
+                             for gate in ("z", "r", "h") for k in ("w", "u", "b"))
 
     def step(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        if x.data.shape[-1] != self.in_dim or h_prev.data.shape[-1] != self.hidden_dim:
+        """One update of a (B, D) input on a (B, H) state."""
+        b = x.data.shape[0]
+        hs = self.sequence(ad.reshape(x, (1,) + x.data.shape), h_prev)
+        return ad.reshape(hs, (b, self.hidden_dim))
+
+    def sequence(self, xs: Tensor, h0: Tensor | None = None) -> Tensor:
+        """All hidden states (T, B, H) of the recurrence over (T, B, D)
+        inputs, from h0 (zeros when None).
+
+        Each frame takes three matmuls: the input projection of all three
+        gates, the recurrent projection of z and r, and that of the
+        candidate. Sums run in the order of the per-gate equations above,
+        which keeps the model's loss bit-identical to a per-frame composition
+        of them. The gate activations are kept only when a backward pass can
+        follow.
+        """
+        t, b, d = xs.data.shape
+        hid = self.hidden_dim
+        if h0 is None:
+            h0 = Tensor(np.zeros((b, hid)))
+        if d != self.in_dim or h0.data.shape != (b, hid):
             raise InvalidInputError(f"{self.name}: input/hidden dims do not match the cell")
-        z = ad.sigmoid(ad.matmul(x, self._g("w_z")) + ad.matmul(h_prev, self._g("u_z")) + self._g("b_z"))
-        r = ad.sigmoid(ad.matmul(x, self._g("w_r")) + ad.matmul(h_prev, self._g("u_r")) + self._g("b_r"))
-        hc = ad.tanh(ad.matmul(x, self._g("w_h")) + ad.matmul(ad.mul(r, h_prev), self._g("u_h")) + self._g("b_h"))
-        h = (1.0 - z) * h_prev + z * hc
-        return _check_finite(h, self.name)
+        wz, uz, bz, wr, ur, br, wh, uh, bh = self.weights
+        w = np.concatenate([wz.data, wr.data, wh.data], axis=1)     # (D, 3H)
+        u_zr = np.concatenate([uz.data, ur.data], axis=1)            # (H, 2H)
+        b_zr = np.concatenate([bz.data, br.data])
+        parents = (xs, h0) + self.weights
+        record = ad.grad_enabled() and any(p.requires_grad for p in parents)
 
+        hs = np.empty((t, b, hid))
+        if record:
+            zs, rs, hcs = np.empty_like(hs), np.empty_like(hs), np.empty_like(hs)
+        h = h0.data
+        for i in range(t):
+            a = xs.data[i] @ w
+            zr = a[:, :2 * hid]
+            zr += h @ u_zr
+            zr += b_zr
+            zr = ad._sigmoid(zr)
+            z, r = zr[:, :hid], zr[:, hid:]
+            ah = a[:, 2 * hid:]
+            ah += (r * h) @ uh.data
+            ah += bh.data
+            hc = np.tanh(ah)
+            h = hs[i] = (1.0 - z) * h + z * hc
+            if record:
+                zs[i], rs[i], hcs[i] = z, r, hc
+        if not np.isfinite(hs).all():
+            raise NumericError(f"non-finite values in {self.name}")
+        if not record:
+            return Tensor(hs)
 
-def gru_step(layer: GruLayer, x, h_prev) -> Tensor:
-    """Single GRU update (module-level alias of GruLayer.step)."""
-    return layer.step(ad.as_tensor(x), ad.as_tensor(h_prev))
+        def bw(g):
+            h_prev = np.concatenate([h0.data[None], hs[:-1]], axis=0)
+            da = np.empty((t, b, 3 * hid))     # gate pre-activation gradients
+            dh = np.zeros((b, hid))
+            u_zr_t, uh_t = u_zr.T, uh.data.T
+            for i in range(t - 1, -1, -1):
+                z, r, hc, hp = zs[i], rs[i], hcs[i], h_prev[i]
+                dh = dh + g[i]
+                dah = da[i, :, 2 * hid:]
+                np.multiply(dh * z, 1.0 - hc * hc, out=dah)
+                drh = dah @ uh_t
+                da[i, :, :hid] = dh * (hc - hp) * z * (1.0 - z)
+                da[i, :, hid:2 * hid] = drh * hp * r * (1.0 - r)
+                dh = dh * (1.0 - z) + drh * r + da[i, :, :2 * hid] @ u_zr_t
+            rows = t * b
+            da2 = da.reshape(rows, 3 * hid)
+            dw = xs.data.reshape(rows, d).T @ da2
+            du_zr = h_prev.reshape(rows, hid).T @ da2[:, :2 * hid]
+            du_h = (rs * h_prev).reshape(rows, hid).T @ da2[:, 2 * hid:]
+            db = da2.sum(axis=0)
+            dx = (da2 @ w.T).reshape(t, b, d) if xs.requires_grad else None
+            z_, r_, h_ = slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, None)
+            return (dx, dh,
+                    dw[:, z_], du_zr[:, z_], db[z_],
+                    dw[:, r_], du_zr[:, r_], db[r_],
+                    dw[:, h_], du_h, db[h_])
+
+        return ad._node(hs, parents, bw)

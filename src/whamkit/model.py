@@ -172,11 +172,10 @@ def center_pose(flat: Tensor, anchored: bool = True) -> Tensor:
 def rollout(root_rot: Tensor, vel: Tensor, origin: np.ndarray) -> Tensor:
     """Cumulative trajectory integration tau[t+1] = tau[t] + R[t] @ v[t]."""
     t, b = vel.shape[0], vel.shape[1]
-    taus = [Tensor(np.broadcast_to(np.asarray(origin, dtype=float), (b, 3)).copy())]
-    for i in range(t - 1):
-        step = ad.reshape(ad.matmul(root_rot[i], ad.reshape(vel[i], (b, 3, 1))), (b, 3))
-        taus.append(taus[-1] + step)
-    return ad.stack(taus, axis=0)
+    tau0 = Tensor(np.broadcast_to(np.asarray(origin, dtype=float), (1, b, 3)))
+    steps = ad.reshape(ad.matmul(root_rot[:t - 1], ad.reshape(vel[:t - 1], (t - 1, b, 3, 1))),
+                       (t - 1, b, 3))
+    return ad.cumsum(ad.concat([tau0, steps], axis=0), axis=0)
 
 
 def rollout_np(root_rot: np.ndarray, vel: np.ndarray, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -247,12 +246,7 @@ class WhamModel:
         if kp_input.ndim != 3 or kp_input.shape[0] < 1:
             raise InvalidInputError("encoder input must be a nonempty (T, B, D) array")
         t, b, _ = kp_input.shape
-        h = Tensor(np.zeros((b, self.dims.hidden))) if h0 is None else h0
-        feats = []
-        for i in range(t):
-            h = self.weights.encoder_gru.step(Tensor(kp_input[i]), h)
-            feats.append(h)
-        phi = ad.stack(feats, axis=0)
+        phi = self.weights.encoder_gru.sequence(Tensor(kp_input), h0)
         casc = center_pose(self.weights.encoder_head(ad.reshape(phi, (t * b, self.dims.hidden))))
         return phi, ad.reshape(casc, (t, b, NUM_LANDMARKS, 3))
 
@@ -268,12 +262,7 @@ class WhamModel:
 
     def decode_motion(self, fused: Tensor, h0: Tensor | None = None):
         t, b, h = fused.shape
-        hid = Tensor(np.zeros((b, h))) if h0 is None else h0
-        states = []
-        for i in range(t):
-            hid = self.weights.motion_gru.step(fused[i], hid)
-            states.append(hid)
-        flat = ad.reshape(ad.stack(states, axis=0), (t * b, h))
+        flat = ad.reshape(self.weights.motion_gru.sequence(fused, h0), (t * b, h))
         pose = ad.reshape(center_pose(self.weights.head_pose(flat)), (t, b, NUM_LANDMARKS, 3))
         contact_logit = ad.reshape(self.weights.head_contact(flat) * CONTACT_LOGIT_GAIN,
                                    (t, b, 4))
@@ -287,14 +276,9 @@ class WhamModel:
         t, b, h = phi.shape
         if omega.shape[:2] != (t, b):
             raise InvalidInputError("omega length must match the feature sequence")
-        hid = Tensor(np.zeros((b, h)))
         scaled = np.tile(CONDITIONING_INPUT_GAIN * omega, (1, 1, OMEGA_TILE))
-        states = []
-        for i in range(t):
-            x = ad.concat([phi[i], Tensor(scaled[i])], axis=1)
-            hid = self.weights.traj_gru.step(x, hid)
-            states.append(hid)
-        flat = ad.reshape(ad.stack(states, axis=0), (t * b, h))
+        x = ad.concat([phi, Tensor(scaled)], axis=2)
+        flat = ad.reshape(self.weights.traj_gru.sequence(x), (t * b, h))
         out = self.weights.traj_head(flat)
         rot0 = ad.reshape(rotops.rotation6d_to_matrix(
             Tensor(rotops.IDENTITY_6D) + out[:, 0:6]), (t, b, 3, 3))
@@ -308,13 +292,8 @@ class WhamModel:
         t, b, h = phi.shape
         sixd0 = rotops.matrix_to_6d(root_rot0)
         vel_in = CONDITIONING_INPUT_GAIN * vel_adj
-        hid = Tensor(np.zeros((b, h)))
-        states = []
-        for i in range(t):
-            x = ad.concat([phi[i], sixd0[i], vel_in[i]], axis=1)
-            hid = self.weights.refine_gru.step(x, hid)
-            states.append(hid)
-        flat = ad.reshape(ad.stack(states, axis=0), (t * b, h))
+        x = ad.concat([phi, sixd0, vel_in], axis=2)
+        flat = ad.reshape(self.weights.refine_gru.sequence(x), (t * b, h))
         out = self.weights.refine_head(flat)
         delta = ad.reshape(rotops.rotation6d_to_matrix(
             Tensor(rotops.IDENTITY_6D) + out[:, 0:6]), (t, b, 3, 3))

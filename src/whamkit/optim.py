@@ -48,7 +48,11 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One Adam update; returns the new parameter vector."""
+    """One Adam update; returns the new parameter vector.
+
+    The moments are updated in place, and every temporary is reused, in the
+    operation order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+    step = lr m_hat / (sqrt(v_hat) + eps) * lr_scale."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
@@ -56,14 +60,24 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     state.ensure(params.size)
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    step = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    tmp = (1.0 - state.beta1) * grads
+    m *= state.beta1
+    m += tmp
+    np.multiply(1.0 - state.beta2, grads, out=tmp)
+    tmp *= grads
+    v *= state.beta2
+    v += tmp
+    np.divide(v, 1.0 - state.beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    step = m / (1.0 - state.beta1 ** t)
+    step *= state.lr
+    step /= tmp
     if state.lr_scale is not None:
-        step = step * state.lr_scale
-    return params - step
+        step *= state.lr_scale
+    np.subtract(params, step, out=step)
+    return step
 
 
 def save_checkpoint(path, dims: dict, params_vec: np.ndarray,

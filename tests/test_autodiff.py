@@ -43,7 +43,8 @@ def leaf(shape, seed, scale=1.0):
 
 class TestElementwiseOps:
     @pytest.mark.parametrize("op", [ad.exp, ad.tanh, ad.sigmoid, ad.relu,
-                                    ad.sin, ad.cos, ad.square, ad.softplus])
+                                    ad.sin, ad.cos, ad.square, ad.softplus,
+                                    ad.cumsum])
     def test_unary(self, op):
         x = leaf((4, 5), 0, 0.8)
         check(lambda: ad.tsum(op(x)), [x])

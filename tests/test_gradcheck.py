@@ -44,6 +44,17 @@ class GruSeq:
         return ad.tmean(ad.square(pred - ad.Tensor(y)))
 
 
+class GruKernel(GruSeq):
+    """GruSeq with the recurrence run as one GruLayer.sequence node."""
+
+    def loss(self, batch):
+        x, y = batch
+        t, b, _ = x.shape
+        hs = self.cell.sequence(ad.Tensor(x))
+        pred = ad.reshape(self.head(ad.reshape(hs, (t * b, 3))), (t, b, 1))
+        return ad.tmean(ad.square(pred - ad.Tensor(y)))
+
+
 @pytest.fixture()
 def linear_case():
     rng = np.random.default_rng(2)
@@ -90,6 +101,14 @@ class TestGradCheck:
         batch = (rng.normal(size=(4, 2, 2)), rng.normal(size=(4, 2, 1)))
         report = grad_check(module, batch, delta=1e-5, tol=1e-4)
         assert report.passed
+
+    def test_gru_sequence_kernel_passes(self):
+        rng = np.random.default_rng(3)
+        module = GruKernel()
+        batch = (rng.normal(size=(4, 2, 2)), rng.normal(size=(4, 2, 1)))
+        report = grad_check(module, batch, delta=1e-5, tol=1e-4)
+        assert report.passed
+        assert max(report.worst_by_block.values()) < 1e-6
 
     def test_corrupted_gradient_fails(self, linear_case):
         module, batch = linear_case

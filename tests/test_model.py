@@ -40,6 +40,14 @@ class TestRollout:
         tau = rollout(rot, vel, np.array([1.0, 2.0, 3.0])).data
         assert np.abs(tau - [1.0, 2.0, 3.0]).max() == 0.0
 
+    def test_matches_numpy_rollout(self):
+        rng = np.random.default_rng(4)
+        rots = np.stack([geom.exp_so3(rng.normal(size=3)) for _ in range(81)])
+        vel = rng.normal(0, 0.05, size=(81, 3))
+        origin = rng.normal(size=3)
+        got = rollout(Tensor(rots[:, None]), Tensor(vel[:, None]), origin).data[:, 0]
+        assert np.abs(got - rollout_np(rots, vel, origin=origin)).max() <= 1e-12
+
     def test_extract_then_rollout_round_trip(self):
         rng = np.random.default_rng(2)
         for trial in range(20):

@@ -51,6 +51,27 @@ class TestAdam:
         new = adam_step(state, np.zeros(2), np.array([1.0, 1.0]))
         assert abs(new[0] / new[1] - 10.0) < 1e-6
 
+    def test_in_place_update_is_bit_identical(self):
+        """24 steps against the out-of-place formula, byte for byte."""
+        rng = np.random.default_rng(5)
+        n = 1000
+        scale = rng.uniform(0.1, 1.0, size=n)
+        state = AdamState(lr=0.003, lr_scale=scale)
+        p = p_ref = rng.normal(size=n)
+        m = v = np.zeros(n)
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 25):
+            g = rng.normal(size=n) * rng.uniform(1e-6, 1e2)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            step = state.lr * m_hat / (np.sqrt(v_hat) + eps)
+            p_ref = p_ref - step * scale
+            p = adam_step(state, p, g)
+            assert np.array_equal(p, p_ref)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
     def test_length_mismatch(self):
         state = AdamState(lr=0.01)
         with pytest.raises(InvalidInputError):
