@@ -18,7 +18,10 @@ from . import dataset as ds
 from .bench import run_bench
 from .config import load_config
 from .errors import (CheckpointError, InvalidInputError, NumericError, WhamkitError)
-from .evaluate import AblationFlags, evaluate_split, infer_bundle
+# infer_bundle stays importable from here: the benchmark's span tracer
+# (perfbench/spans.py) wraps it in this module by name.
+from .evaluate import (INFER_BLOCK, AblationFlags, evaluate_split, infer_bundle,  # noqa: F401
+                       infer_bundles)
 from .gradcheck import grad_check
 from .losses import LossWeights
 from .model import ModelDims, WhamModel, WhamParams
@@ -106,15 +109,15 @@ def _ablation_flags(args) -> AblationFlags:
 
 def cmd_infer(args) -> int:
     model, _ = load_model(args.checkpoint)
-    manifest = ds.read_manifest(args.dataset)
+    blocks = ds.split_blocks(args.dataset, args.split, INFER_BLOCK)
     os.makedirs(args.out, exist_ok=True)
     flags = _ablation_flags(args)
-    dim = manifest["config"]["feature_dim"]
-    for k in manifest["splits"][args.split]:
-        bundle = ds.load_bundle(args.dataset, k, dim)
-        out = infer_bundle(model, bundle, flags)
-        ds.save_output(os.path.join(args.out, f"out_{k}.ndjson"), out)
-    print(f"inferred {len(manifest['splits'][args.split])} sequences to {args.out}")
+    count = 0
+    for block in blocks:
+        for bundle, out in zip(block, infer_bundles(model, block, flags)):
+            ds.save_output(os.path.join(args.out, f"out_{bundle.index}.ndjson"), out)
+        count += len(block)
+    print(f"inferred {count} sequences to {args.out}")
     return EXIT_OK
 
 

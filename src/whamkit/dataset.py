@@ -16,13 +16,14 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
 
 from . import geom
-from .body import (MotionSequence, NUM_BONES, REST_LENGTHS, BONE_PARENTS,
-                   BONE_CHILDREN, SKELETON_VERSION, generate_gait, resample_speed)
+from .body import (MotionSequence, NUM_BONES, SKELETON_VERSION, generate_gait,
+                   resample_speed, scales_from_pose)
 from .errors import InvalidInputError
 from .model import WhamOutput, pack_encoder_input, extract_velocities
 from .synth import (CameraTrajectory, KeypointSequence2D, SynthConfig,
@@ -63,9 +64,8 @@ def load_motion(path) -> MotionSequence:
     contact = np.array([f["contact"] for f in frames]).reshape(n, 4)
     # Bone scales are implied by the frame-0 geometry; the format does not
     # store them separately.
-    lengths = np.linalg.norm(local[0][BONE_CHILDREN] - local[0][BONE_PARENTS], axis=1)
     return MotionSequence(fps=float(header["fps"]), local_pose=local,
-                          bone_scales=lengths / REST_LENGTHS, root_rot=rot,
+                          bone_scales=scales_from_pose(local[0]), root_rot=rot,
                           root_pos=tau, contacts=contact)
 
 
@@ -264,9 +264,23 @@ def load_bundle(dataset_dir, index: int, feature_dim: int) -> SequenceBundle:
     return SequenceBundle(seq, cams, kps, feats, index)
 
 
-def load_split(dataset_dir, split: str) -> list[SequenceBundle]:
+def _split_indices(dataset_dir, split: str) -> tuple[list[int], int]:
+    """The sequence indices of a split and the dataset's feature dimension."""
     manifest = read_manifest(dataset_dir)
-    dim = manifest["config"]["feature_dim"]
     if split not in manifest["splits"]:
         raise InvalidInputError(f"unknown split {split!r}")
-    return [load_bundle(dataset_dir, i, dim) for i in manifest["splits"][split]]
+    return manifest["splits"][split], manifest["config"]["feature_dim"]
+
+
+def load_split(dataset_dir, split: str) -> list[SequenceBundle]:
+    indices, dim = _split_indices(dataset_dir, split)
+    return [load_bundle(dataset_dir, i, dim) for i in indices]
+
+
+def split_blocks(dataset_dir, split: str, size: int) -> Iterator[list[SequenceBundle]]:
+    """The bundles of a split in consecutive blocks of at most size, each
+    loaded only when the previous one has been consumed. The manifest is
+    read, and a bad split rejected, at the call."""
+    indices, dim = _split_indices(dataset_dir, split)
+    return ([load_bundle(dataset_dir, i, dim) for i in indices[lo:lo + size]]
+            for lo in range(0, len(indices), size))

@@ -15,7 +15,7 @@ reduces them to exact pass-through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -147,6 +147,11 @@ class WhamOutput:
     def world_landmarks_all(self) -> np.ndarray:
         return (np.einsum("tij,tkj->tki", self.root_rot, self.local_pose)
                 + self.root_pos[:, None, :])
+
+
+# The per-frame arrays of a WhamOutput, each one batch column of the
+# ForwardOutputs field of the same name.
+_OUTPUT_ARRAYS = tuple(f.name for f in fields(WhamOutput) if f.name != "fps")
 
 
 def pack_encoder_input(kp_norm: np.ndarray, mask: np.ndarray,
@@ -365,29 +370,34 @@ class WhamModel:
 
     def infer(self, kp_input: np.ndarray, omega: np.ndarray,
               features: np.ndarray | None = None, fps: float = 30.0,
-              use_integrator: bool = True, use_omega: bool = True,
-              use_refiner: bool = True, neural_init_mode: str = "self",
-              origin=(0.0, 0.0, 0.0)) -> WhamOutput:
-        """Single-sequence inference returning numpy arrays.
+              **switches) -> WhamOutput:
+        """Single-sequence inference: infer_batch on (T, 54), (T, 3) and
+        (T, F) inputs as one batch column."""
+        return self.infer_batch(kp_input[:, None, :], omega[:, None, :],
+                                None if features is None else features[:, None, :],
+                                fps=fps, **switches)[0]
 
-        kp_input is (T, 54), omega (T, 3), features (T, F) or None. Ablation
-        switches: use_integrator drops the feature fusion, use_omega zeroes
-        the angular-velocity conditioning, use_refiner bypasses the
-        contact-aware refinement stage.
+    def infer_batch(self, kp_input: np.ndarray, omega: np.ndarray,
+                    features: np.ndarray | None = None, fps=30.0,
+                    use_integrator: bool = True, use_omega: bool = True,
+                    use_refiner: bool = True, neural_init_mode: str = "self",
+                    origin=(0.0, 0.0, 0.0)) -> list[WhamOutput]:
+        """No-grad inference on a (T, B, ...) batch of independent sequences;
+        returns one WhamOutput per batch column.
+
+        kp_input is (T, B, 54), omega (T, B, 3), features (T, B, F) or None;
+        fps is one rate or one per column. Ablation switches: use_integrator
+        drops the feature fusion, use_omega zeroes the angular-velocity
+        conditioning, use_refiner bypasses the contact-aware refinement stage.
         """
         om = omega if use_omega else np.zeros_like(omega)
-        feats = features if use_integrator else None
         with ad.no_grad():
-            out = self.forward(kp_input[:, None, :], om[:, None, :],
-                               features=None if feats is None else feats[:, None, :],
+            out = self.forward(kp_input, om, features=features if use_integrator else None,
                                neural_init_mode=neural_init_mode,
                                use_refiner=use_refiner,
                                origin=np.asarray(origin, dtype=float))
-        pick = lambda x: np.ascontiguousarray(x.data[:, 0])
-        return WhamOutput(fps=fps, local_pose=pick(out.local_pose),
-                          contact=pick(out.contact), cam_root_pos=pick(out.cam_root_pos),
-                          cam_root_rot=pick(out.cam_root_rot), bone_scales=pick(out.bone_scales),
-                          kp3d_cascade=pick(out.kp3d_cascade), root_rot0=pick(out.root_rot0),
-                          vel0=pick(out.vel0), vel_adj=pick(out.vel_adj),
-                          root_rot=pick(out.root_rot), vel=pick(out.vel),
-                          root_pos=pick(out.root_pos))
+        rates = np.broadcast_to(np.asarray(fps, dtype=float), (kp_input.shape[1],))
+        return [WhamOutput(fps=float(rate),
+                           **{name: np.ascontiguousarray(getattr(out, name).data[:, i])
+                              for name in _OUTPUT_ARRAYS})
+                for i, rate in enumerate(rates)]

@@ -15,6 +15,7 @@ The "params" section is the flat parameter vector; optimizer state adds
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -24,6 +25,13 @@ from .errors import CheckpointError, InvalidInputError
 
 MAGIC = b"WKCKPT01"
 VERSION = 1
+
+# Elements per block of the Adam update. The seven 128 KiB slices one block
+# touches (params, g, m, v, lr_scale, the step, a temporary) stay in L2
+# across its fifteen operations, where whole-vector passes over a
+# 460k-parameter model (3.7 MB per array) overflow L2 and re-read every
+# operand from a slower cache level or memory each time.
+ADAM_BLOCK = 16_384
 
 
 @dataclass
@@ -50,9 +58,12 @@ class AdamState:
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One Adam update; returns the new parameter vector.
 
-    The moments are updated in place, and every temporary is reused, in the
-    operation order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
-    step = lr m_hat / (sqrt(v_hat) + eps) * lr_scale."""
+    The moments are updated in place, one ADAM_BLOCK-element block at a
+    time with reused temporaries, in the operation order of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+    step = lr m_hat / (sqrt(v_hat) + eps) * lr_scale. Every element sees
+    the same operations as in one whole-vector pass, so the result is
+    bit-identical to it."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
@@ -60,29 +71,38 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     state.ensure(params.size)
     state.step_count += 1
     t = state.step_count
-    m, v = state.m, state.v
-    tmp = (1.0 - state.beta1) * grads
-    m *= state.beta1
-    m += tmp
-    np.multiply(1.0 - state.beta2, grads, out=tmp)
-    tmp *= grads
-    v *= state.beta2
-    v += tmp
-    np.divide(v, 1.0 - state.beta2 ** t, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    step = m / (1.0 - state.beta1 ** t)
-    step *= state.lr
-    step /= tmp
-    if state.lr_scale is not None:
-        step *= state.lr_scale
-    np.subtract(params, step, out=step)
-    return step
+    b1, b2 = state.beta1, state.beta2
+    new = np.empty_like(params)
+    buf = np.empty(min(ADAM_BLOCK, params.size))
+    for lo in range(0, params.size, ADAM_BLOCK):
+        sl = slice(lo, lo + ADAM_BLOCK)
+        g, m, v, step = grads[sl], state.m[sl], state.v[sl], new[sl]
+        tmp = buf[:g.size]
+        np.multiply(1.0 - b1, g, out=tmp)
+        m *= b1
+        m += tmp
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v *= b2
+        v += tmp
+        np.divide(v, 1.0 - b2 ** t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, 1.0 - b1 ** t, out=step)
+        step *= state.lr
+        step /= tmp
+        if state.lr_scale is not None:
+            step *= state.lr_scale[sl]
+        np.subtract(params[sl], step, out=step)
+    return new
 
 
 def save_checkpoint(path, dims: dict, params_vec: np.ndarray,
                     meta: dict | None = None,
                     extra_sections: dict[str, np.ndarray] | None = None) -> None:
+    """Write a checkpoint atomically: the bytes go to path + ".tmp", which
+    then replaces path, so a write that fails partway leaves any previous
+    checkpoint at path intact and no temporary file behind."""
     sections = [("params", np.asarray(params_vec, dtype=np.float64))]
     for name, arr in (extra_sections or {}).items():
         sections.append((name, np.asarray(arr, dtype=np.float64)))
@@ -92,12 +112,19 @@ def save_checkpoint(path, dims: dict, params_vec: np.ndarray,
         "sections": [{"name": n, "count": int(a.size)} for n, a in sections],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        for _, arr in sections:
-            fh.write(arr.astype("<f8").tobytes())
+    tmp_path = os.fspath(path) + ".tmp"
+    fh = open(tmp_path, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blob)))
+            fh.write(blob)
+            for _, arr in sections:
+                fh.write(arr.astype("<f8").tobytes())
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:

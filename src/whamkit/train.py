@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dataset as ds
 from .config import RunConfig
-from .errors import CheckpointError, InvalidInputError, NumericError
+from .errors import CheckpointError, InvalidInputError
 from .gradcheck import forward_backward
 from .losses import LossWeights, total_loss
 from .model import ModelDims, WhamModel, WhamParams
@@ -181,11 +181,7 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
         for lo in range(0, len(order), cfg.batch_size):
             picked = [chunks[i] for i in order[lo:lo + cfg.batch_size]]
             batch = build_batch(picked, with_features=(stage == "finetune"))
-            try:
-                _, grads = forward_backward(module, batch)
-            except NumericError:
-                # Leave the last good checkpoint in place.
-                raise
+            _, grads = forward_backward(module, batch)
             weights.params.set_flat(adam_step(adam, weights.params.get_flat(), grads))
             for term, value in module.last_breakdown.items():
                 sums[term] = sums.get(term, 0.0) + value

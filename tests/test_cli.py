@@ -12,8 +12,9 @@ from whamkit import dataset as ds
 from whamkit.cli import main
 from whamkit.config import RunConfig, load_config
 from whamkit.errors import InvalidInputError
-from whamkit.evaluate import read_metrics_csv
+from whamkit.evaluate import infer_bundle, read_metrics_csv
 from whamkit.optim import load_checkpoint
+from whamkit.train import load_model
 
 SMALL_MODEL = ["--set", "hidden=16", "--set", "feature_dim=8",
                "--set", "integrator_hidden=16", "--set", "init_hidden=8",
@@ -220,6 +221,37 @@ class TestInferCommand:
             lines = path.read_text().strip().split("\n")
             assert len(lines) == 12 + 1  # header + frames
             json.loads(lines[-1])
+
+
+    def test_batched_reruns_identical_and_match_per_sequence(self, trained, tmp_path):
+        """A 20-sequence, 12-frame dataset puts 3 sequences in one test
+        forward: infer and eval reruns are byte-identical, and the written
+        outputs are those of per-sequence inference up to reassociation."""
+        _, run = trained
+        ckpt = str(run / "finetune.ckpt")
+        data = tmp_path / "data"
+        assert run_cli("synth", "--out", str(data), "--count", "20", "--seed", "4",
+                       *SMALL_SYNTH) == 0
+        trees = {}
+        for cmd in ("infer", "eval"):
+            for rerun in ("1", "2"):
+                out = tmp_path / (cmd + rerun)
+                assert run_cli(cmd, "--checkpoint", ckpt, "--dataset", str(data),
+                               "--split", "test", "--out", str(out)) == 0
+                trees[cmd + rerun] = tree_bytes(out)
+        assert trees["infer1"] == trees["infer2"] and trees["eval1"] == trees["eval2"]
+
+        model, _ = load_model(ckpt)
+        test = ds.read_manifest(data)["splits"]["test"]
+        assert len(test) == 3
+        for k in test:
+            want = infer_bundle(model, ds.load_bundle(str(data), k, 8))
+            lines = trees["infer1"][f"out_{k}.ndjson"].decode().strip().split("\n")
+            frames = [json.loads(line) for line in lines[1:]]
+            for key, field in (("local", "local_pose"), ("tau", "root_pos"),
+                               ("contact", "contact"), ("gamma", "root_rot")):
+                got = np.array([f[key] for f in frames]).reshape(getattr(want, field).shape)
+                assert np.abs(got - getattr(want, field)).max() <= 1e-9, key
 
 
 class TestGradcheckCommand:

@@ -1,14 +1,19 @@
+import itertools
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from whamkit import dataset as ds
-from whamkit.evaluate import (AblationFlags, evaluate_split, infer_bundle,
-                              oracle_output, read_metrics_csv, report_for)
+from whamkit.evaluate import (INFER_BLOCK, AblationFlags, evaluate_split, infer_bundle,
+                              infer_bundles, oracle_output, read_metrics_csv, report_for)
+from whamkit.model import ModelDims, WhamModel, WhamOutput, WhamParams
 from whamkit.svg import render_topdown
 from whamkit.synth import SynthConfig
+
+from tests.conftest import TOY_DIMS, toy_bundles
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +96,72 @@ class TestAblationPlumbing:
         assert not (full.root_pos == noref.root_pos).all()
         noni = infer_bundle(model, bundle, AblationFlags(use_neural_init=False))
         assert not (full.local_pose[0] == noni.local_pose[0]).all()
+
+
+def assert_outputs_match(got: list[WhamOutput], want: list[WhamOutput], tol: float = 1e-9):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.fps == b.fps
+        for f in fields(WhamOutput):
+            if f.name != "fps":
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert x.shape == y.shape, f.name
+                assert np.abs(x - y).max() <= tol, f.name
+
+
+def counting_forwards(model, monkeypatch) -> list[int]:
+    """Batch sizes of the model's inference forwards, as they happen."""
+    sizes = []
+    infer_batch = model.infer_batch
+
+    def counted(kp_input, *args, **kwargs):
+        sizes.append(kp_input.shape[1])
+        return infer_batch(kp_input, *args, **kwargs)
+
+    monkeypatch.setattr(model, "infer_batch", counted)
+    return sizes
+
+
+class TestInferBundles:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        """Interleaved 12- and 20-frame bundles with distinct indices and,
+        within each length, two frame rates."""
+        short, long_ = toy_bundles(4, 12, seed=3), toy_bundles(3, 20, seed=4)
+        bundles = [b for pair in itertools.zip_longest(short, long_) for b in pair if b]
+        for i, b in enumerate(bundles):
+            b.index = i
+            b.seq.fps = 25.0 if i % 4 < 2 else 30.0
+        return bundles
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return WhamModel(WhamParams(ModelDims(hidden=16, feature_dim=8, integrator_hidden=16,
+                                              init_hidden=8), seed=2))
+
+    @pytest.mark.parametrize("switches", list(itertools.product((True, False), repeat=4)))
+    def test_matches_per_sequence_inference(self, mixed, model, switches):
+        flags = AblationFlags(*switches)
+        batched = infer_bundles(model, mixed, flags)
+        assert [(o.fps, len(o.local_pose)) for o in batched] == [
+            (b.seq.fps, b.num_frames) for b in mixed]
+        assert_outputs_match(batched, [infer_bundle(model, b, flags) for b in mixed])
+
+    def test_one_forward_per_length(self, mixed, model, monkeypatch):
+        sizes = counting_forwards(model, monkeypatch)
+        infer_bundles(model, mixed)
+        assert sorted(sizes) == [3, 4]
+        sizes.clear()
+        infer_bundle(model, mixed[1])
+        assert sizes == [1]
+
+    def test_blocks_of_at_most_infer_block(self, monkeypatch):
+        model = WhamModel(WhamParams(TOY_DIMS, seed=1))
+        bundles = toy_bundles(70, 3, seed=6)
+        sizes = counting_forwards(model, monkeypatch)
+        batched = infer_bundles(model, bundles)
+        assert INFER_BLOCK == 64 and sizes == [64, 6]
+        assert_outputs_match(batched, [infer_bundle(model, b) for b in bundles])
+
+    def test_empty(self, model):
+        assert infer_bundles(model, []) == []
