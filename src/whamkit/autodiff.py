@@ -355,8 +355,3 @@ def arccos(a) -> Tensor:
 def sin(a) -> Tensor:
     a = as_tensor(a)
     return _node(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
-
-
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.cos(a.data), (a,), lambda g: (-g * np.sin(a.data),))

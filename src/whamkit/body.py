@@ -149,21 +149,17 @@ class MotionSequence:
         mid_hip = 0.5 * (self.local_pose[:, L["left_hip"]] + self.local_pose[:, L["right_hip"]])
         if np.abs(mid_hip).max() > tol:
             raise InvalidInputError("pelvis (hip midpoint) must sit at the root-frame origin")
-        if not np.isfinite(self.world_landmarks_all()).all():
+        if not np.isfinite(world_landmarks(self)).all():
             raise InvalidInputError("non-finite world landmarks")
         if self.contacts.min() < -1e-12 or self.contacts.max() > 1 + 1e-12:
             raise InvalidInputError("contact values must lie in [0, 1]")
 
-    def world_landmarks_all(self) -> np.ndarray:
-        """(T, 21, 3) world landmark positions."""
-        return np.einsum("tij,tkj->tki", self.root_rot, self.local_pose) + self.root_pos[:, None, :]
 
-
-def world_landmarks(seq: MotionSequence, t: int) -> np.ndarray:
-    """World positions of all landmarks at frame t."""
-    if not 0 <= t < seq.num_frames:
-        raise IndexError(f"frame {t} out of range [0, {seq.num_frames})")
-    return seq.local_pose[t] @ seq.root_rot[t].T + seq.root_pos[t]
+def world_landmarks(motion) -> np.ndarray:
+    """(T, 21, 3) world landmark positions of a MotionSequence or a
+    WhamOutput: its local_pose placed by its root_rot and root_pos."""
+    return (np.einsum("tij,tkj->tki", motion.root_rot, motion.local_pose)
+            + motion.root_pos[:, None, :])
 
 
 def _smoothstep(u: np.ndarray | float):
@@ -234,9 +230,6 @@ class _RootPath:
         self.fps = fps
         self.step_len = step_len
         self.turn_rate = TURN_RATE if kind == "turn" else 0.0
-
-    def heading(self, t: float) -> float:
-        return self.turn_rate * t / self.fps
 
     def ground_pose(self, t: float):
         """Ground-plane position (y = 0) and heading at fractional frame t."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dataset as ds
 from .bench import run_bench
-from .config import load_config
+from .config import FINETUNE_EPOCHS_DEFAULT, load_config
 from .errors import (CheckpointError, InvalidInputError, NumericError, WhamkitError)
 # infer_bundle stays importable from here: the benchmark's span tracer
 # (perfbench/spans.py) wraps it in this module by name.
@@ -34,35 +34,23 @@ EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
 
-def _parse_sets(pairs: list[str] | None) -> dict:
+def _overrides(args, flags: tuple) -> dict:
+    """Config values from the --set pairs, then from those of the flags
+    that were given."""
     out = {}
-    for pair in pairs or []:
+    for pair in args.set or []:
         if "=" not in pair:
             raise InvalidInputError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         out[key.strip()] = value.strip()
+    for key in flags:
+        if getattr(args, key) is not None:
+            out[key] = getattr(args, key)
     return out
 
 
-def _synth_config(sets: dict, seq_len: int | None) -> SynthConfig:
-    cfg = SynthConfig()
-    if seq_len is not None:
-        sets = {**sets, "seq_len": str(seq_len)}
-    for key, raw in sets.items():
-        if not hasattr(cfg, key):
-            raise InvalidInputError(f"unknown synthesis key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, tuple):
-            value = tuple(float(v) if key == "gait_weights" else v
-                          for v in raw.split(","))
-        else:
-            value = type(current)(raw) if not isinstance(current, int) else int(raw)
-        setattr(cfg, key, value)
-    return SynthConfig(**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__})
-
-
 def cmd_synth(args) -> int:
-    cfg = _synth_config(_parse_sets(args.set), args.seq_len)
+    cfg = load_config(overrides=_overrides(args, ("seq_len",)), cls=SynthConfig)
     manifest = ds.synthesize_dataset(args.out, cfg, args.seed, args.count)
     for split in ("train", "val", "test"):
         for k in manifest["splits"][split]:
@@ -73,14 +61,9 @@ def cmd_synth(args) -> int:
 
 
 def _run_config(args, stage: str):
-    overrides = _parse_sets(args.set)
-    for key in ("dataset", "out_dir", "seed", "epochs", "batch_size"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "epochs", None) is None and "epochs" not in overrides and stage == "finetune":
-        overrides["epochs"] = 30
-    cfg = load_config(args.config, overrides)
+    overrides = _overrides(args, ("dataset", "out_dir", "seed", "epochs", "batch_size"))
+    defaults = {"epochs": FINETUNE_EPOCHS_DEFAULT} if stage == "finetune" else {}
+    cfg = load_config(args.config, overrides, defaults=defaults)
     if not os.path.isdir(cfg.dataset):
         raise FileNotFoundError(f"dataset directory {cfg.dataset!r} does not exist")
     return cfg
@@ -240,19 +223,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except OSError as exc:
+    except (OSError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InvalidInputError, WhamkitError) as exc:
+    except WhamkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,12 +1,13 @@
 """Run configuration: a flat key=value file with CLI-flag overrides.
 
-Values are coerced by the declared field type; unknown keys are rejected so
-typos fail loudly. Flags win over file values, which win over defaults.
+Values are coerced by the type of the field's default; unknown keys are
+rejected so typos fail loudly. Flags win over file values, which win over
+defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from .errors import InvalidInputError
 from .losses import LossWeights
@@ -14,10 +15,14 @@ from .model import ModelDims
 
 PRETRAIN_EPOCHS_DEFAULT = 80
 FINETUNE_EPOCHS_DEFAULT = 30
+LOSS_PREFIX = "loss_"
 
 
 @dataclass
-class RunConfig:
+class _RunSettings:
+    """The fields of a run that belong to neither ModelDims nor LossWeights,
+    and the checks and views of the whole RunConfig."""
+
     dataset: str = ""
     out_dir: str = "run"
     seed: int = 0
@@ -27,60 +32,57 @@ class RunConfig:
     lr_pretrained: float = 1e-5     # finetune: everything else
     batch_size: int = 64
     chunk_len: int = 81
-    hidden: int = 128
-    feature_dim: int = 32
-    integrator_hidden: int = 128
-    init_hidden: int = 64
     metric_fps: float = 30.0
-    loss_pose: float = 1.0
-    loss_shape: float = 0.1
-    loss_kp3d: float = 1.0
-    loss_kp2d: float = 1.0
-    loss_cascade: float = 0.5
-    loss_root_rot: float = 1.0
-    loss_root_vel: float = 1.0
-    loss_contact: float = 1.0
-    loss_ang_vel: float = 0.5
-    loss_cam_rot: float = 0.5
-    loss_foot_slide: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 0 or self.batch_size < 1 or self.chunk_len < 2:
             raise InvalidInputError("epochs must be >= 0, batch >= 1, chunk >= 2")
         if min(self.lr, self.lr_integrator, self.lr_pretrained) <= 0:
             raise InvalidInputError("learning rates must be positive")
 
     def model_dims(self) -> ModelDims:
-        return ModelDims(hidden=self.hidden, feature_dim=self.feature_dim,
-                         integrator_hidden=self.integrator_hidden,
-                         init_hidden=self.init_hidden)
+        return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(pose=self.loss_pose, shape=self.loss_shape,
-                           kp3d=self.loss_kp3d, kp2d=self.loss_kp2d,
-                           cascade=self.loss_cascade, root_rot=self.loss_root_rot,
-                           root_vel=self.loss_root_vel, contact=self.loss_contact,
-                           ang_vel=self.loss_ang_vel, cam_rot=self.loss_cam_rot,
-                           foot_slide=self.loss_foot_slide)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return LossWeights(**{f.name: getattr(self, LOSS_PREFIX + f.name)
+                              for f in fields(LossWeights)})
 
 
-def _coerce(name: str, kind, raw: str):
+def _copied_fields(cls, prefix: str = "") -> list[tuple]:
+    return [(prefix + f.name, f.type, field(default=f.default)) for f in fields(cls)]
+
+
+# The run settings, the ModelDims fields under their own names, and the
+# LossWeights fields prefixed "loss_", each with its dataclass's default.
+RunConfig = make_dataclass(
+    "RunConfig", _copied_fields(ModelDims) + _copied_fields(LossWeights, LOSS_PREFIX),
+    bases=(_RunSettings,), namespace={"__module__": __name__})
+
+
+def _coerce(name: str, default, raw: str):
+    """raw parsed as the type of default; a tuple default takes a
+    comma-separated list of the type of its first element."""
     try:
-        if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return kind(raw.strip())
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(item.strip()) for item in raw.split(","))
+        return type(default)(raw.strip())
     except ValueError as exc:
         raise InvalidInputError(f"config key {name}: cannot parse {raw!r}") from exc
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional key=value file plus overrides."""
-    types = {f.name: f.type for f in fields(RunConfig)}
-    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
-    values: dict = {}
+def load_config(path: str | None = None, overrides: dict | None = None,
+                cls=RunConfig, defaults: dict | None = None):
+    """An instance of the dataclass cls built from, lowest precedence first:
+    its field defaults, defaults, an optional key=value file, and overrides.
+    String values are parsed by _coerce."""
+    known = {f.name: f.default for f in fields(cls)}
+    values = dict(defaults or {})
+
+    def put(key: str, raw, where: str) -> None:
+        if key not in known:
+            raise InvalidInputError(f"{where}unknown config key {key!r}")
+        values[key] = _coerce(key, known[key], raw) if isinstance(raw, str) else raw
+
     if path is not None:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -90,15 +92,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 if "=" not in line:
                     raise InvalidInputError(f"{path}:{lineno}: expected key=value")
                 key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in kinds:
-                    raise InvalidInputError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _coerce(key, kinds[key], raw)
+                put(key, raw, f"{path}:{lineno}: ")
     for key, raw in (overrides or {}).items():
-        if raw is None:
-            continue
-        if key not in kinds:
-            raise InvalidInputError(f"unknown config key {key!r}")
-        values[key] = raw if not isinstance(raw, str) else _coerce(key, kinds[key], raw)
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+        put(key, raw, "")
+    return cls(**values)

@@ -11,13 +11,6 @@ below: level, looking horizontally along world -z.
 
 import numpy as np
 
-UP = np.array([0.0, 1.0, 0.0])
-GRAVITY_DIR = np.array([0.0, -1.0, 0.0])
-
-# Indices of the ground-plane coordinates within a world vector.
-GROUND_AXES = (0, 2)
-UP_AXIS = 1
-
 # Level camera: x_cam = world x, y_cam = -world y (down), z_cam = -world z.
 CAMERA_BASE = np.array([
     [1.0, 0.0, 0.0],

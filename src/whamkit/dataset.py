@@ -17,13 +17,13 @@ import json
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import geom
-from .body import (MotionSequence, NUM_BONES, SKELETON_VERSION, generate_gait,
-                   resample_speed, scales_from_pose)
+from .body import (MotionSequence, NUM_BONES, NUM_KEYPOINTS_2D, NUM_LANDMARKS,
+                   SKELETON_VERSION, generate_gait, resample_speed, scales_from_pose)
 from .errors import InvalidInputError
 from .model import WhamOutput, pack_encoder_input, extract_velocities
 from .synth import (CameraTrajectory, KeypointSequence2D, SynthConfig,
@@ -35,89 +35,104 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _floats(a) -> list:
-    return np.asarray(a, dtype=float).ravel().tolist()
+# Per-frame keys of each NDJSON format: (key in the file, field of the
+# in-memory object, per-frame shape, element type). A frame line holds "t"
+# and each key, whose value is a flat list, or a number when the shape is ().
+MOTION_KEYS = (("gamma", "root_rot", (3, 3), float), ("tau", "root_pos", (3,), float),
+               ("local", "local_pose", (NUM_LANDMARKS, 3), float),
+               ("contact", "contacts", (4,), float))
+CAMERA_KEYS = (("r", "rotations", (3, 3), float), ("tcam", "translations", (3,), float),
+               ("omega", "omega", (3,), float))
+KEYPOINT_KEYS = (("kp", "keypoints", (NUM_KEYPOINTS_2D, 2), float),
+                 ("mask", "mask", (NUM_KEYPOINTS_2D,), np.uint8),
+                 ("center", "center", (2,), float), ("scale", "scale", (), float),
+                 ("carried", "carried", (), bool))
+# The motion keys of an inferred sequence plus its intermediate channels;
+# the cascade landmarks are not written.
+OUTPUT_KEYS = (("gamma", "root_rot", (3, 3), float), ("tau", "root_pos", (3,), float),
+               ("local", "local_pose", (NUM_LANDMARKS, 3), float),
+               ("contact", "contact", (4,), float), ("gamma0", "root_rot0", (3, 3), float),
+               ("v0", "vel0", (3,), float), ("v_adj", "vel_adj", (3,), float),
+               ("v", "vel", (3,), float), ("gamma_cam", "cam_root_rot", (3, 3), float),
+               ("cam_pos", "cam_root_pos", (3,), float),
+               ("beta", "bone_scales", (NUM_BONES,), float))
+
+
+def _write(path, header: dict, obj, keys) -> None:
+    """The header line, then one line per frame of obj's fields under keys;
+    integer and boolean fields are written as integers."""
+    columns = []
+    for key, name, shape, kind in keys:
+        value = np.asarray(getattr(obj, name), dtype=float if kind is float else int)
+        n = value.shape[0]
+        columns.append((key, value.reshape((n, math.prod(shape)) if shape else (n,)).tolist()))
+    with open(path, "w") as fh:
+        fh.write(_dump(header) + "\n")
+        for t in range(n):
+            fh.write(_dump({"t": t, **{key: rows[t] for key, rows in columns}}) + "\n")
+
+
+def _read(path, header_keys: tuple, keys) -> tuple[dict, dict]:
+    """({header key: value}, {field: array of shape (frames,) + shape}) of a
+    file written by _write. A malformed line, a missing key or a value of
+    the wrong length raises InvalidInputError naming the file and the key."""
+    with open(path) as fh:
+        try:
+            header = json.loads(fh.readline())
+            frames = [json.loads(line) for line in fh if line.strip()]
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed NDJSON line: {exc}") from exc
+    if not isinstance(header, dict) or not header.keys() >= set(header_keys):
+        raise InvalidInputError(f"{path}: the header needs the keys {header_keys}")
+    fields = {}
+    for key, name, shape, kind in keys:
+        try:
+            rows = [f[key] for f in frames]
+        except (KeyError, TypeError) as exc:
+            raise InvalidInputError(f"{path}: a frame has no key {key!r}") from exc
+        try:
+            fields[name] = np.array(rows, dtype=kind).reshape((len(rows),) + shape)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{path}: a {key!r} value has the wrong length") from exc
+    return {key: header[key] for key in header_keys}, fields
 
 
 # -- motion sequences ---------------------------------------------------------
 
 def save_motion(path, seq: MotionSequence) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dump({"fps": seq.fps, "skeleton_version": SKELETON_VERSION}) + "\n")
-        for t in range(seq.num_frames):
-            fh.write(_dump({"t": t, "gamma": _floats(seq.root_rot[t]),
-                            "tau": _floats(seq.root_pos[t]),
-                            "local": _floats(seq.local_pose[t]),
-                            "contact": _floats(seq.contacts[t])}) + "\n")
+    _write(path, {"fps": seq.fps, "skeleton_version": SKELETON_VERSION}, seq, MOTION_KEYS)
 
 
 def load_motion(path) -> MotionSequence:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("skeleton_version") != SKELETON_VERSION:
-            raise InvalidInputError(f"{path}: unsupported skeleton version")
-        frames = [json.loads(line) for line in fh if line.strip()]
-    n = len(frames)
-    local = np.array([f["local"] for f in frames]).reshape(n, -1, 3)
-    rot = np.array([f["gamma"] for f in frames]).reshape(n, 3, 3)
-    tau = np.array([f["tau"] for f in frames]).reshape(n, 3)
-    contact = np.array([f["contact"] for f in frames]).reshape(n, 4)
+    header, fields = _read(path, ("fps", "skeleton_version"), MOTION_KEYS)
+    if header["skeleton_version"] != SKELETON_VERSION:
+        raise InvalidInputError(f"{path}: unsupported skeleton version")
     # Bone scales are implied by the frame-0 geometry; the format does not
     # store them separately.
-    return MotionSequence(fps=float(header["fps"]), local_pose=local,
-                          bone_scales=scales_from_pose(local[0]), root_rot=rot,
-                          root_pos=tau, contacts=contact)
+    return MotionSequence(fps=float(header["fps"]),
+                          bone_scales=scales_from_pose(fields["local_pose"][0]), **fields)
 
 
 # -- camera trajectories -------------------------------------------------------
 
 def save_camera(path, cams: CameraTrajectory) -> None:
-    ph = cams.pinhole
-    with open(path, "w") as fh:
-        fh.write(_dump({"f": ph.f, "w": ph.w, "h": ph.h, "cx": ph.cx, "cy": ph.cy}) + "\n")
-        for t in range(cams.num_frames):
-            fh.write(_dump({"t": t, "r": _floats(cams.rotations[t]),
-                            "tcam": _floats(cams.translations[t]),
-                            "omega": _floats(cams.omega[t])}) + "\n")
+    _write(path, asdict(cams.pinhole), cams, CAMERA_KEYS)
 
 
 def load_camera(path) -> CameraTrajectory:
-    with open(path) as fh:
-        hd = json.loads(fh.readline())
-        frames = [json.loads(line) for line in fh if line.strip()]
-    n = len(frames)
-    return CameraTrajectory(
-        pinhole=geom.Pinhole(f=hd["f"], w=hd["w"], h=hd["h"], cx=hd["cx"], cy=hd["cy"]),
-        rotations=np.array([f["r"] for f in frames]).reshape(n, 3, 3),
-        translations=np.array([f["tcam"] for f in frames]).reshape(n, 3),
-        omega=np.array([f["omega"] for f in frames]).reshape(n, 3))
+    header, fields = _read(path, ("f", "w", "h", "cx", "cy"), CAMERA_KEYS)
+    return CameraTrajectory(pinhole=geom.Pinhole(**header), **fields)
 
 
 # -- 2D keypoints ---------------------------------------------------------------
 
 def save_keypoints(path, kps: KeypointSequence2D) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dump({"w": kps.image_w, "h": kps.image_h}) + "\n")
-        for t in range(kps.num_frames):
-            fh.write(_dump({"t": t, "kp": _floats(kps.keypoints[t]),
-                            "mask": [int(m) for m in kps.mask[t]],
-                            "center": _floats(kps.center[t]),
-                            "scale": float(kps.scale[t]),
-                            "carried": int(kps.carried[t])}) + "\n")
+    _write(path, {"w": kps.image_w, "h": kps.image_h}, kps, KEYPOINT_KEYS)
 
 
 def load_keypoints(path) -> KeypointSequence2D:
-    with open(path) as fh:
-        hd = json.loads(fh.readline())
-        frames = [json.loads(line) for line in fh if line.strip()]
-    n = len(frames)
-    return KeypointSequence2D(
-        image_w=hd["w"], image_h=hd["h"],
-        keypoints=np.array([f["kp"] for f in frames]).reshape(n, -1, 2),
-        mask=np.array([f["mask"] for f in frames], dtype=np.uint8),
-        center=np.array([f["center"] for f in frames]).reshape(n, 2),
-        scale=np.array([f["scale"] for f in frames], dtype=float),
-        carried=np.array([f["carried"] for f in frames], dtype=bool))
+    header, fields = _read(path, ("w", "h"), KEYPOINT_KEYS)
+    return KeypointSequence2D(image_w=header["w"], image_h=header["h"], **fields)
 
 
 # -- features --------------------------------------------------------------------
@@ -136,17 +151,7 @@ def load_features(path, dim: int) -> np.ndarray:
 # -- inferred outputs -------------------------------------------------------------
 
 def save_output(path, out: WhamOutput) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dump({"fps": out.fps, "skeleton_version": SKELETON_VERSION}) + "\n")
-        for t in range(out.local_pose.shape[0]):
-            fh.write(_dump({
-                "t": t, "gamma": _floats(out.root_rot[t]), "tau": _floats(out.root_pos[t]),
-                "local": _floats(out.local_pose[t]), "contact": _floats(out.contact[t]),
-                "gamma0": _floats(out.root_rot0[t]), "v0": _floats(out.vel0[t]),
-                "v_adj": _floats(out.vel_adj[t]), "v": _floats(out.vel[t]),
-                "gamma_cam": _floats(out.cam_root_rot[t]),
-                "cam_pos": _floats(out.cam_root_pos[t]),
-                "beta": _floats(out.bone_scales[t])}) + "\n")
+    _write(path, {"fps": out.fps, "skeleton_version": SKELETON_VERSION}, out, OUTPUT_KEYS)
 
 
 # -- manifest and splits ------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import geom, metrics, svg
+from .body import world_landmarks
 from .dataset import SequenceBundle
 from .model import WhamModel, WhamOutput
 
@@ -70,7 +71,7 @@ def report_for(pred: WhamOutput, bundle: SequenceBundle) -> metrics.MetricReport
     truth = bundle.seq
     return metrics.compute_report(
         pred_local=pred.local_pose, truth_local=truth.local_pose,
-        pred_world=pred.world_landmarks_all(), truth_world=truth.world_landmarks_all(),
+        pred_world=world_landmarks(pred), truth_world=world_landmarks(truth),
         truth_contacts=truth.contacts, fps=truth.fps,
         pred_rot0=pred.root_rot[0], truth_rot0=truth.root_rot[0])
 
@@ -101,8 +102,7 @@ def _fmt(value) -> str:
 
 
 def _aligned_pred_roots(pred_world: np.ndarray, truth_world: np.ndarray) -> np.ndarray:
-    pred_roots = pred_world[:, list(metrics.HIP_PAIR), :].mean(axis=1)
-    truth_roots = truth_world[:, list(metrics.HIP_PAIR), :].mean(axis=1)
+    pred_roots, truth_roots = metrics.roots(pred_world), metrics.roots(truth_world)
     tf, _ = geom.kabsch_align(pred_roots, truth_roots, with_scale=False)
     return tf.apply(pred_roots), truth_roots
 
@@ -124,8 +124,8 @@ def evaluate_split(model: WhamModel | None, dataset_dir: str, split: str, out_di
         for bundle, pred in zip(block, preds):
             rows.append((bundle.index, report_for(pred, bundle)))
             if write_svg:
-                pred_xy, truth_xy = _aligned_pred_roots(pred.world_landmarks_all(),
-                                                        bundle.seq.world_landmarks_all())
+                pred_xy, truth_xy = _aligned_pred_roots(world_landmarks(pred),
+                                                        world_landmarks(bundle.seq))
                 svg.render_topdown(os.path.join(out_dir, f"traj_{bundle.index}.svg"),
                                    truth_xy[:, [0, 2]], pred_xy[:, [0, 2]],
                                    title=f"seq {bundle.index} root path")
@@ -145,20 +145,3 @@ def evaluate_split(model: WhamModel | None, dataset_dir: str, split: str, out_di
         writer.writerow(["aggregate"] + [_fmt(aggregate[n]) for n in metrics.MetricReport.FIELDS]
                         + ["", ""])
     return aggregate
-
-
-def read_metrics_csv(path: str) -> tuple[list[dict], dict]:
-    """Parse metrics.csv back into per-sequence rows and the aggregate."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    parsed = []
-    aggregate = {}
-    for row in rows:
-        values = {k: (float(row[k]) if row[k] else math.nan)
-                  for k in metrics.MetricReport.FIELDS}
-        if row["seq"] == "aggregate":
-            aggregate = values
-        else:
-            parsed.append({"seq": int(row["seq"]), **values, "flags": row["flags"]})
-    return parsed, aggregate

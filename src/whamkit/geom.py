@@ -13,18 +13,6 @@ import numpy as np
 
 from .errors import BehindCameraError, InvalidInputError
 
-ROTATION_TOL = 1e-9
-
-
-def is_rotation(r: np.ndarray, tol: float = 1e-6) -> bool:
-    """True if r is orthonormal with determinant +1 within tol."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        return False
-    return (np.abs(r.T @ r - np.eye(3)).max() < tol
-            and abs(np.linalg.det(r) - 1.0) < tol)
-
-
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of a 3-vector (cross-product operator)."""
     x, y, z = v
@@ -108,33 +96,6 @@ def slerp(r_a: np.ndarray, r_b: np.ndarray, u: float) -> np.ndarray:
     return np.asarray(r_a) @ exp_so3(u * rel)
 
 
-def rotation_to_6d(r: np.ndarray) -> np.ndarray:
-    """First two columns of rotation matrices, shape (..., 6)."""
-    r = np.asarray(r, dtype=float)
-    return np.concatenate([r[..., :, 0], r[..., :, 1]], axis=-1)
-
-
-def rotation_from_6d(v: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt a 6-vector (two column hints) back to a rotation.
-
-    Accepts any (..., 6) array; degenerate inputs with near-zero norm get a
-    tiny clamp on the normalizers, so output is always a valid rotation.
-    """
-    v = np.asarray(v, dtype=float)
-    a1, a2 = v[..., 0:3], v[..., 3:6]
-    n1 = np.maximum(np.linalg.norm(a1, axis=-1, keepdims=True), 1e-12)
-    b1 = a1 / n1
-    dot = np.sum(b1 * a2, axis=-1, keepdims=True)
-    u2 = a2 - dot * b1
-    n2 = np.maximum(np.linalg.norm(u2, axis=-1, keepdims=True), 1e-12)
-    b2 = u2 / n2
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=-1)
-
-
-IDENTITY_6D = rotation_to_6d(np.eye(3))
-
-
 @dataclass(frozen=True)
 class RigidTransform:
     """Rotation followed by translation: x -> R @ x + t."""
@@ -144,18 +105,6 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points) @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self o other)(x) = self(other(x))."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
 
 
 def kabsch_align(source: np.ndarray, target: np.ndarray,

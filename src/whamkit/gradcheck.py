@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidInputError, NumericError
+from .errors import NumericError
 
 # Relative-error denominator floor: below this scale, central differences on
 # an O(1) loss are dominated by roundoff, not by gradient information.
@@ -85,8 +85,3 @@ def grad_check(module, batch, delta: float = 1e-5, tol: float = 1e-4) -> GradChe
     passed = all(e < tol for e in worst.values())
     return GradCheckReport(passed=passed, tol=tol, delta=delta,
                            worst_by_block=worst, elapsed_s=time.perf_counter() - start)
-
-
-def check_batch_nonempty(batch_size: int) -> None:
-    if batch_size < 1:
-        raise InvalidInputError("zero-length batch")

@@ -30,9 +30,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     @property
     def size(self) -> int:
         return sum(p.data.size for p in self._params.values())
@@ -67,10 +64,6 @@ class ParamSet:
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.grad = None
-
-    def freeze(self) -> None:
-        for p in self._params.values():
-            p.requires_grad = False
 
     def block_slices(self, sep: str = ".") -> dict[str, slice]:
         """Contiguous slices per top-level name prefix (parameters are

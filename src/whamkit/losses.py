@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import rotops
 from .autodiff import Tensor
 from .body import NUM_KEYPOINTS_2D
-from .errors import NumericError
+from .errors import InvalidInputError, NumericError
 from .model import FOOT_SLICE, ForwardOutputs
 
 MIN_REPROJECTION_DEPTH = 1e-3
@@ -47,7 +47,7 @@ class LossWeights:
     def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) < 0:
-                raise ValueError(f"loss weight {f.name} must be nonnegative")
+                raise InvalidInputError(f"loss weight {f.name} must be nonnegative")
 
     def to_dict(self) -> dict:
         return asdict(self)

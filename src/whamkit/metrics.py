@@ -85,7 +85,8 @@ def foot_slide(pred_foot_world: np.ndarray, contact_truth: np.ndarray) -> float:
     return float(disp[mask].mean() * MM)
 
 
-def _roots(world: np.ndarray) -> np.ndarray:
+def roots(world: np.ndarray) -> np.ndarray:
+    """(T, 3) root path, the hip midpoints of (T, 21, 3) landmarks."""
     return world[:, list(HIP_PAIR), :].mean(axis=1)
 
 
@@ -133,8 +134,8 @@ def world_mpjpe_100(pred_world: np.ndarray, truth_world: np.ndarray, mode: str,
     pred, truth = _check_shapes(pred_world, truth_world)
     if mode not in ("W", "WA"):
         raise InvalidInputError(f"unknown world MPJPE mode {mode!r}")
-    pred_roots = _roots(pred)
-    truth_roots = _roots(truth)
+    pred_roots = roots(pred)
+    truth_roots = roots(truth)
     details = []
     for start, stop in _segments(pred.shape[0], segment_len):
         p, q = pred[start:stop], truth[start:stop]
@@ -231,7 +232,7 @@ def compute_report(pred_local: np.ndarray, truth_local: np.ndarray,
     wa_val, wa_det = world_mpjpe_100(pred_world, truth_world, "WA")
     flags = [f for d in w_det for f in d.flags]
     try:
-        rte_val = rte(_roots(pred_world), _roots(truth_world))
+        rte_val = rte(roots(pred_world), roots(truth_world))
     except UndefinedMetricError:
         rte_val = math.nan
         flags.append("rte_undefined")

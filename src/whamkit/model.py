@@ -144,10 +144,6 @@ class WhamOutput:
     vel: np.ndarray
     root_pos: np.ndarray
 
-    def world_landmarks_all(self) -> np.ndarray:
-        return (np.einsum("tij,tkj->tki", self.root_rot, self.local_pose)
-                + self.root_pos[:, None, :])
-
 
 # The per-frame arrays of a WhamOutput, each one batch column of the
 # ForwardOutputs field of the same name.
@@ -367,15 +363,6 @@ class WhamModel:
             h = h + self.weights.integrator(ad.concat([h, Tensor(feat0)], axis=1))
         hd = self.weights.motion_gru.step(h, Tensor(np.zeros((b, self.dims.hidden))))
         return center_pose(self.weights.head_pose(hd))
-
-    def infer(self, kp_input: np.ndarray, omega: np.ndarray,
-              features: np.ndarray | None = None, fps: float = 30.0,
-              **switches) -> WhamOutput:
-        """Single-sequence inference: infer_batch on (T, 54), (T, 3) and
-        (T, F) inputs as one batch column."""
-        return self.infer_batch(kp_input[:, None, :], omega[:, None, :],
-                                None if features is None else features[:, None, :],
-                                fps=fps, **switches)[0]
 
     def infer_batch(self, kp_input: np.ndarray, omega: np.ndarray,
                     features: np.ndarray | None = None, fps=30.0,

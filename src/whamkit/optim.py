@@ -133,10 +133,16 @@ def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:
         magic = fh.read(8)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        fixed = fh.read(8)
+        if len(fixed) != 8:
+            raise CheckpointError(f"{path}: truncated header")
+        version, hlen = struct.unpack("<II", fixed)
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: truncated or malformed header") from exc
         sections = {}
         for sec in header["sections"]:
             raw = fh.read(8 * sec["count"])

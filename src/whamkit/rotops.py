@@ -1,6 +1,6 @@
 """Differentiable rotation utilities on autodiff Tensors.
 
-Mirrors the numpy versions in geom.py for batched stacks of rotations.
+Operates on batched stacks of rotations; so3_log mirrors geom.log_so3.
 The 6D representation is the first two matrix columns; decoding is
 Gram-Schmidt, so any head output yields a valid rotation. Feeding the
 identity 6D vector through decode reproduces the identity bit-exactly,

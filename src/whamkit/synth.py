@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geom
-from .body import (CONTACT_LANDMARKS, MotionSequence, NUM_KEYPOINTS_2D)
+from .body import CONTACT_LANDMARKS, NUM_KEYPOINTS_2D, MotionSequence, world_landmarks
 from .constants import CAMERA_BASE
 from .errors import InvalidInputError, SynthesisError
 
@@ -62,6 +62,11 @@ class SynthConfig:
             raise InvalidInputError("mask_prob must lie in [0, 1]")
         if self.seq_len < 2:
             raise InvalidInputError("seq_len must be >= 2")
+        weights = self.gait_weights
+        if (len(weights) != len(self.gait_kinds) or any(w < 0 for w in weights)
+                or not sum(weights) > 0):
+            raise InvalidInputError("gait_weights needs one nonnegative weight per gait "
+                                    "kind, with a positive sum")
 
     def pinhole(self) -> geom.Pinhole:
         return geom.Pinhole(f=self.focal, w=self.image_w, h=self.image_h)
@@ -147,14 +152,6 @@ def _initial_rotation(roll: float, pitch: float) -> np.ndarray:
     return geom.rot_z(roll) @ geom.rot_x(pitch) @ CAMERA_BASE
 
 
-def camera_pitch_roll(rotation: np.ndarray) -> tuple[float, float]:
-    """Recover the (pitch, roll) pair of a camera built by the synthesizer."""
-    m = np.asarray(rotation) @ CAMERA_BASE.T
-    pitch = math.atan2(m[2, 1], m[2, 2])
-    roll = math.atan2(m[1, 0], m[0, 0])
-    return pitch, roll
-
-
 def synth_camera(seq: MotionSequence, pinhole: geom.Pinhole, cfg: SynthConfig,
                  seed: int = 0) -> CameraTrajectory:
     """Sample a moving virtual camera observing the subject.
@@ -230,7 +227,7 @@ def synth_keypoints(seq: MotionSequence, cams: CameraTrajectory, cfg: SynthConfi
     if cams.num_frames != n:
         raise InvalidInputError("sequence and camera trajectory lengths differ")
     rng = np.random.default_rng(seed)
-    world = seq.world_landmarks_all()[:, :NUM_KEYPOINTS_2D]
+    world = world_landmarks(seq)[:, :NUM_KEYPOINTS_2D]
 
     # Fixed-size draws keep the stream layout independent of visibility.
     pixel_noise = rng.normal(0.0, 1.0, size=(n, NUM_KEYPOINTS_2D, 2))
@@ -294,7 +291,7 @@ def generate_contact_labels(seq: MotionSequence) -> np.ndarray:
     """
     if seq.num_frames < 2:
         raise InvalidInputError("contact labels need at least 2 frames")
-    world = seq.world_landmarks_all()[:, list(CONTACT_LANDMARKS)]
+    world = world_landmarks(seq)[:, list(CONTACT_LANDMARKS)]
     disp = np.linalg.norm(np.diff(world, axis=0), axis=-1)  # (T-1, 4)
     vel = np.concatenate([disp[:1], disp], axis=0)
     return contact_probability(vel)

@@ -106,11 +106,11 @@ def _append_log(path, epoch: int, breakdown: dict, fresh: bool) -> None:
             writer.writerow([epoch, term, repr(breakdown[term])])
 
 
-def _lr_scale(params, base_lr: float, integrator_lr: float, pretrained_lr: float) -> np.ndarray:
-    scale = np.full(params.size, pretrained_lr / base_lr)
-    for block, sl in params.block_slices().items():
-        if block == "integrator":
-            scale[sl] = integrator_lr / base_lr
+def _lr_scale(params, integrator_lr: float, pretrained_lr: float) -> np.ndarray:
+    """Multipliers on the integrator's learning rate: 1 on the integrator
+    block, pretrained_lr / integrator_lr on every other parameter."""
+    scale = np.full(params.size, pretrained_lr / integrator_lr)
+    scale[params.block_slices()["integrator"]] = 1.0
     return scale
 
 
@@ -133,25 +133,22 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
     start_epoch = 0
     adam = AdamState(lr=cfg.lr if stage == "pretrain" else cfg.lr_integrator)
 
-    if resume and os.path.exists(ckpt_path):
-        saved_dims, meta, sections = load_checkpoint(ckpt_path)
+    resuming = resume and os.path.exists(ckpt_path)
+    source = ckpt_path if resuming else init_checkpoint if stage == "finetune" else None
+    if stage == "finetune" and (source is None or not os.path.exists(source)):
+        raise CheckpointError("finetune requires an existing pretrain checkpoint")
+    if source is not None:
+        saved_dims, meta, sections = load_checkpoint(source)
         if saved_dims != dims.to_dict():
-            raise CheckpointError("checkpoint dims do not match the config")
+            raise CheckpointError(f"{source}: checkpoint dims do not match the config")
         weights.params.set_flat(sections["params"])
+    if resuming:
         adam.m, adam.v = sections["adam_m"], sections["adam_v"]
         adam.step_count = int(meta["adam_step"])
         start_epoch = int(meta["epoch"])
-    elif stage == "finetune":
-        if init_checkpoint is None or not os.path.exists(init_checkpoint):
-            raise CheckpointError("finetune requires an existing pretrain checkpoint")
-        saved_dims, _, sections = load_checkpoint(init_checkpoint)
-        if saved_dims != dims.to_dict():
-            raise CheckpointError("pretrain checkpoint dims do not match the config")
-        weights.params.set_flat(sections["params"])
 
     if stage == "finetune":
-        adam.lr_scale = _lr_scale(weights.params, cfg.lr_integrator,
-                                  cfg.lr_integrator, cfg.lr_pretrained)
+        adam.lr_scale = _lr_scale(weights.params, cfg.lr_integrator, cfg.lr_pretrained)
 
     model = WhamModel(weights)
     module = TrainingModule(model, cfg.loss_weights(), stage)

@@ -7,10 +7,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
-from whamkit import dataset as ds
+from whamkit import dataset as ds, metrics
+from whamkit.constants import CAMERA_BASE
 from whamkit.losses import LossWeights
 from whamkit.model import ModelDims, WhamModel, WhamParams
 from whamkit.synth import SynthConfig
@@ -58,3 +62,37 @@ def small_trained(tmp_path_factory):
     model, meta = load_model(fin)
     return {"model": model, "dataset": data, "run_dir": str(root / "run"),
             "pretrain": pre, "finetune": fin, "meta": meta, "cfg": cfg}
+
+
+def is_rotation(r, tol: float = 1e-6) -> bool:
+    """True if r is orthonormal with determinant +1 within tol."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        return False
+    return (np.abs(r.T @ r - np.eye(3)).max() < tol
+            and abs(np.linalg.det(r) - 1.0) < tol)
+
+
+def camera_pitch_roll(rotation) -> tuple[float, float]:
+    """Recover the (pitch, roll) pair of a camera built by the synthesizer."""
+    m = np.asarray(rotation) @ CAMERA_BASE.T
+    pitch = math.atan2(m[2, 1], m[2, 2])
+    roll = math.atan2(m[1, 0], m[0, 0])
+    return pitch, roll
+
+
+def read_metrics_csv(path) -> tuple[list[dict], dict]:
+    """Parse metrics.csv back into per-sequence rows and the aggregate."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    parsed = []
+    aggregate = {}
+    for row in rows:
+        values = {k: (float(row[k]) if row[k] else math.nan)
+                  for k in metrics.MetricReport.FIELDS}
+        if row["seq"] == "aggregate":
+            aggregate = values
+        else:
+            parsed.append({"seq": int(row["seq"]), **values, "flags": row["flags"]})
+    return parsed, aggregate

@@ -22,7 +22,7 @@ from whamkit import body, dataset as ds, geom, metrics, synth
 from whamkit.autodiff import Tensor
 from whamkit.cli import main as cli_main
 from whamkit.config import RunConfig
-from whamkit.evaluate import AblationFlags, infer_bundle, read_metrics_csv
+from whamkit.evaluate import AblationFlags, infer_bundle
 from whamkit.gradcheck import grad_check
 from whamkit.layers import Dense, DenseStack, GruLayer, ParamSet
 from whamkit.losses import LossWeights
@@ -30,7 +30,7 @@ from whamkit.model import (WhamModel, WhamParams, adjust_velocity,
                            extract_velocities, rollout_np)
 from whamkit.bench import run_bench
 from whamkit.train import TrainingModule, load_model, run_training
-from tests.conftest import TOY_DIMS, toy_bundles
+from tests.conftest import TOY_DIMS, camera_pitch_roll, read_metrics_csv, toy_bundles
 from whamkit.train import build_batch, make_chunks
 
 DESK_SEED = 42
@@ -198,7 +198,7 @@ def test_criterion_4_metric_oracles():
     ok_wa = True
     for _ in range(100):
         seq = body.generate_gait("walk", 150, seed=int(rng.integers(1000)))
-        w = seq.world_landmarks_all()
+        w = body.world_landmarks(seq)
         pred = w + rng.normal(0, rng.uniform(0.01, 0.1), size=w.shape)
         _, w_det = metrics.world_mpjpe_100(pred, w, "W")
         _, wa_det = metrics.world_mpjpe_100(pred, w, "WA")
@@ -227,7 +227,7 @@ def test_criterion_5_synthesis_statistics():
     in_frame = True
     for seed in range(10000):
         cams = synth.synth_camera(stand, ph, cfg, seed=seed)
-        pitch, _ = synth.camera_pitch_roll(cams.rotations[0])
+        pitch, _ = camera_pitch_roll(cams.rotations[0])
         pitches[seed] = math.degrees(pitch)
         uv = geom.project(ph, cams.world_to_camera(stand.root_pos[0], 0)[None])[0]
         in_frame &= bool(0.0 <= uv[0] <= ph.w and 0.0 <= uv[1] <= ph.h)
@@ -290,9 +290,9 @@ def test_criterion_7_refinement_property(desk):
         feet_idx = list(body.CONTACT_LANDMARKS)
         try:
             fs_after.append(metrics.foot_slide(
-                full.world_landmarks_all()[:, feet_idx], bundle.seq.contacts))
+                body.world_landmarks(full)[:, feet_idx], bundle.seq.contacts))
             fs_before.append(metrics.foot_slide(
-                raw.world_landmarks_all()[:, feet_idx], bundle.seq.contacts))
+                body.world_landmarks(raw)[:, feet_idx], bundle.seq.contacts))
         except Exception:
             continue
     trained_ok = float(np.mean(fs_after)) <= float(np.mean(fs_before))

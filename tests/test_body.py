@@ -4,6 +4,8 @@ import pytest
 from whamkit import body, geom
 from whamkit.errors import InvalidInputError
 
+from tests.conftest import is_rotation
+
 # Values measured once from the generator and pinned as regressions.
 WALK_81_DISPLACEMENT = 2.880
 
@@ -34,11 +36,6 @@ class TestSkeleton:
 
 
 @pytest.fixture(scope="module")
-def walk_seq():
-    return body.generate_gait("walk", 30, seed=0)
-
-
-@pytest.fixture(scope="module")
 def walk_long():
     return body.generate_gait("walk", 124, seed=5)
 
@@ -48,13 +45,13 @@ class TestWorldLandmarks:
         seq2 = body.generate_gait("stand", 5, seed=0)
         seq2.root_rot[:] = np.eye(3)
         seq2.root_pos[:] = 0.0
-        assert np.allclose(body.world_landmarks(seq2, 0), seq2.local_pose[0])
+        assert np.allclose(body.world_landmarks(seq2)[0], seq2.local_pose[0])
 
     def test_translation_only(self):
         seq2 = body.generate_gait("stand", 5, seed=0)
         seq2.root_rot[:] = np.eye(3)
         seq2.root_pos[:] = [0.0, 0.0, 5.0]
-        assert np.allclose(body.world_landmarks(seq2, 2),
+        assert np.allclose(body.world_landmarks(seq2)[2],
                            seq2.local_pose[2] + [0, 0, 5.0])
 
     def test_yaw_maps_axes(self):
@@ -62,14 +59,10 @@ class TestWorldLandmarks:
         seq2.root_rot[:] = geom.rot_y(np.pi / 2)
         seq2.root_pos[:] = 0.0
         local = seq2.local_pose[0]
-        world = body.world_landmarks(seq2, 0)
+        world = body.world_landmarks(seq2)[0]
         # R_y(90deg) maps +x to -z
         assert np.abs(world[:, 2] + local[:, 0]).max() < 1e-9
         assert np.abs(world[:, 1] - local[:, 1]).max() < 1e-9
-
-    def test_out_of_range(self, walk_seq):
-        with pytest.raises(IndexError):
-            body.world_landmarks(walk_seq, walk_seq.num_frames)
 
 
 class TestGenerateGait:
@@ -77,7 +70,7 @@ class TestGenerateGait:
         seq = body.generate_gait("stand", 40, seed=1)
         assert np.abs(np.diff(seq.root_pos, axis=0)).max() == 0.0
         assert (seq.contacts == 1.0).all()
-        world = seq.world_landmarks_all()
+        world = body.world_landmarks(seq)
         assert np.abs(np.diff(world, axis=0)).max() < 1e-6
 
     def test_walk_displacement_and_slide(self):
@@ -85,7 +78,7 @@ class TestGenerateGait:
         disp = np.linalg.norm(seq.root_pos[-1] - seq.root_pos[0])
         assert disp > 0.5
         assert abs(disp - WALK_81_DISPLACEMENT) < 0.05
-        world = seq.world_landmarks_all()[:, list(body.CONTACT_LANDMARKS)]
+        world = body.world_landmarks(seq)[:, list(body.CONTACT_LANDMARKS)]
         vel = np.linalg.norm(np.diff(world, axis=0), axis=-1)
         in_contact = seq.contacts[1:] > 0.5
         assert vel[in_contact].max() < 0.002  # 0.2 cm/frame
@@ -93,7 +86,7 @@ class TestGenerateGait:
     @pytest.mark.parametrize("kind", body.GAIT_KINDS)
     def test_contact_truth_implies_static_feet(self, kind):
         seq = body.generate_gait(kind, 100, seed=7)
-        world = seq.world_landmarks_all()[:, list(body.CONTACT_LANDMARKS)]
+        world = body.world_landmarks(seq)[:, list(body.CONTACT_LANDMARKS)]
         fwd = np.linalg.norm(world[1:] - world[:-1], axis=-1)
         full = seq.contacts == 1.0
         # both difference conventions stay still on labeled frames
@@ -144,8 +137,7 @@ class TestResampleSpeed:
         out = body.resample_speed(seq, 1.0)
         assert (out.local_pose == seq.local_pose).all()
         assert (out.contacts == seq.contacts).all()
-        for t in range(0, seq.num_frames, 17):
-            assert (body.world_landmarks(out, t) == body.world_landmarks(seq, t)).all()
+        assert (body.world_landmarks(out) == body.world_landmarks(seq)).all()
 
     def test_half_speed(self, walk_long):
         seq = walk_long
@@ -164,7 +156,7 @@ class TestResampleSpeed:
         seq = walk_long
         out = body.resample_speed(seq, 1.23)
         for r in out.root_rot[::11]:
-            assert geom.is_rotation(r, tol=1e-9)
+            assert is_rotation(r, tol=1e-9)
 
     def test_contacts_recomputed_soft(self, walk_long):
         seq = walk_long

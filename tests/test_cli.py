@@ -4,17 +4,22 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from whamkit import dataset as ds
-from whamkit.cli import main
+from whamkit.cli import build_parser, main, _run_config
 from whamkit.config import RunConfig, load_config
-from whamkit.errors import InvalidInputError
-from whamkit.evaluate import infer_bundle, read_metrics_csv
+from whamkit.errors import CheckpointError, InvalidInputError
+from whamkit.evaluate import infer_bundle
+from whamkit.losses import LossWeights
+from whamkit.model import ModelDims
 from whamkit.optim import load_checkpoint
 from whamkit.train import load_model
+
+from tests.conftest import read_metrics_csv
 
 SMALL_MODEL = ["--set", "hidden=16", "--set", "feature_dim=8",
                "--set", "integrator_hidden=16", "--set", "init_hidden=8",
@@ -67,6 +72,27 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             load_config(None, {"batch_size": "0"})
 
+    def test_dims_and_loss_fields_follow_their_dataclasses(self):
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        for f in fields(ModelDims):
+            assert defaults[f.name] == f.default
+        for f in fields(LossWeights):
+            assert defaults["loss_" + f.name] == f.default
+        cfg = load_config(None, {"hidden": "16", "loss_cam_rot": "2.5"})
+        assert cfg.model_dims() == ModelDims(hidden=16)
+        assert cfg.loss_weights() == LossWeights(cam_rot=2.5)
+
+    @pytest.mark.parametrize("stage, default", [("pretrain", 80), ("finetune", 30)])
+    def test_epochs_precedence_flag_file_stage_default(self, stage, default, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 1\n")
+        base = [stage, "--dataset", str(tmp_path)] + (["--init", "x"] if stage == "finetune" else [])
+        cases = [([], default), (["--config", str(path)], 1),
+                 (["--config", str(path), "--epochs", "0"], 0),
+                 (["--config", str(path), "--set", "epochs=2"], 2)]
+        for extra, epochs in cases:
+            assert _run_config(build_parser().parse_args(base + extra), stage).epochs == epochs
+
 
 class TestSynthCommand:
     def test_deterministic_directories(self, tmp_path):
@@ -81,6 +107,20 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", str(out), "--count", "0") == 0
         manifest = ds.read_manifest(out)
         assert manifest["count"] == 0
+
+    @pytest.mark.parametrize("setting", ["focal=abc", "seq_len=1.5", "gait_weights=1",
+                                         "gait_weights=1,-1,1,1", "gait_weights=0,0,0,0",
+                                         "no_such_key=1", "focal"])
+    def test_malformed_set_is_usage_error(self, setting, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path / "d"), "--count", "1",
+                       "--set", setting) == 2
+
+    def test_set_parses_tuples_as_comma_lists(self, tmp_path):
+        assert run_cli("synth", "--out", str(tmp_path / "d"), "--count", "1", *SMALL_SYNTH,
+                       "--set", "gait_kinds=stand, walk", "--set", "gait_weights=1, 0") == 0
+        config = ds.read_manifest(tmp_path / "d")["config"]
+        assert config["gait_kinds"] == ["stand", "walk"]
+        assert config["gait_weights"] == [1.0, 0.0]
 
     def test_files_parse_back(self, workspace):
         _, data = workspace
@@ -131,6 +171,17 @@ class TestTrainCommands:
                        "--epochs", "2", "--seed", "3", "--resume", *SMALL_MODEL) == 0
         _, meta2, _ = load_checkpoint(out / "pretrain.ckpt")
         assert (meta1["epoch"], meta2["epoch"]) == (1, 2)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_config_file_epochs_used(self, stage, trained, tmp_path):
+        data, run = trained
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 1\n")
+        init = ["--init", str(run / "pretrain.ckpt")] if stage == "finetune" else []
+        assert run_cli(stage, "--dataset", str(data), "--out-dir", str(tmp_path / "o"),
+                       "--config", str(path), "--seed", "3", *init, *SMALL_MODEL) == 0
+        _, meta, _ = load_checkpoint(tmp_path / "o" / f"{stage}.ckpt")
+        assert meta["epoch"] == 1
 
     def test_missing_dataset_exit_code(self, tmp_path):
         rc = run_cli("pretrain", "--dataset", str(tmp_path / "nope"),
@@ -203,6 +254,29 @@ class TestEvalCommand:
                 "--no-refiner", "--no-omega")
         assert (base / "metrics.csv").read_bytes() != (ab / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("suffix, key", [(".ndjson", "tau"), (".cam.ndjson", "omega"),
+                                             (".kp2d.ndjson", "kp")])
+    @pytest.mark.parametrize("fault", ["missing key", "short row"])
+    def test_malformed_ndjson_is_usage_error(self, workspace, tmp_path, capsys,
+                                             suffix, key, fault):
+        _, data = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        k = ds.read_manifest(copy)["splits"]["test"][0]
+        path = copy / f"seq_{k}{suffix}"
+        lines = path.read_text().split("\n")
+        frame = json.loads(lines[3])
+        if fault == "missing key":
+            del frame[key]
+        else:
+            frame[key] = frame[key][:-1]
+        lines[3] = json.dumps(frame)
+        path.write_text("\n".join(lines))
+        assert run_cli("eval", "--oracle", "--dataset", str(copy), "--out",
+                       str(tmp_path / "ev"), "--no-svg") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
     def test_eval_without_checkpoint_is_usage_error(self, workspace):
         _, data = workspace
         assert run_cli("eval", "--dataset", str(data), "--out", "/tmp/x_eval") == 2
@@ -252,6 +326,18 @@ class TestInferCommand:
                                ("contact", "contact"), ("gamma", "root_rot")):
                 got = np.array([f[key] for f in frames]).reshape(getattr(want, field).shape)
                 assert np.abs(got - getattr(want, field)).max() <= 1e-9, key
+
+
+    @pytest.mark.parametrize("cut", [0, 12, 60, -1])
+    def test_truncated_checkpoint_exit_code(self, trained, tmp_path, cut):
+        data, run = trained
+        raw = (run / "finetune.ckpt").read_bytes()
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(raw[:cut] if cut >= 0 else raw[:len(raw) - 1])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert run_cli("infer", "--checkpoint", str(path), "--dataset", str(data),
+                       "--out", str(tmp_path / "inferred")) == 3
 
 
 class TestGradcheckCommand:

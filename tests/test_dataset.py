@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -72,6 +73,9 @@ class TestCameraAndKeypointFormats:
         assert np.array_equal(back.center, kps.center)
         assert np.array_equal(back.scale, kps.scale)
         assert np.array_equal(back.carried, kps.carried)
+        frame = json.loads(path.read_text().split("\n")[1])
+        assert all(type(m) is int for m in frame["mask"]) and type(frame["carried"]) is int
+        assert type(frame["scale"]) is float
 
     def test_features_little_endian_f32(self, tmp_path):
         feats = np.random.default_rng(3).normal(size=(7, 5))
@@ -86,6 +90,24 @@ class TestCameraAndKeypointFormats:
         ds.save_features(path, np.zeros((3, 5)))
         with pytest.raises(InvalidInputError):
             ds.load_features(path, 4)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("suffix, load, save", [
+        (".ndjson", ds.load_motion, ds.save_motion),
+        (".cam.ndjson", ds.load_camera, ds.save_camera),
+        (".kp2d.ndjson", ds.load_keypoints, ds.save_keypoints)])
+    def test_save_of_load_reproduces_the_file(self, sample, tmp_path, suffix, load, save):
+        root, _, _ = sample
+        for k in range(4):
+            path = root / f"seq_{k}{suffix}"
+            save(tmp_path / "copy", load(path))
+            assert (tmp_path / "copy").read_bytes() == path.read_bytes()
+
+    def test_output_table_covers_every_array_field(self):
+        written = {name for _, name, _, _ in ds.OUTPUT_KEYS}
+        arrays = {f.name for f in fields(WhamOutput)} - {"fps", "kp3d_cascade"}
+        assert written == arrays
 
 
 class TestSplits:

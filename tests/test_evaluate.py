@@ -8,12 +8,12 @@ import pytest
 
 from whamkit import dataset as ds
 from whamkit.evaluate import (INFER_BLOCK, AblationFlags, evaluate_split, infer_bundle,
-                              infer_bundles, oracle_output, read_metrics_csv, report_for)
+                              infer_bundles, oracle_output, report_for)
 from whamkit.model import ModelDims, WhamModel, WhamOutput, WhamParams
 from whamkit.svg import render_topdown
 from whamkit.synth import SynthConfig
 
-from tests.conftest import TOY_DIMS, toy_bundles
+from tests.conftest import TOY_DIMS, read_metrics_csv, toy_bundles
 
 
 @pytest.fixture(scope="module")

@@ -254,7 +254,7 @@ class TestFootSlidingLoss:
 
     def test_generator_walk_truth_small(self):
         seq = body.generate_gait("walk", 81, seed=3)
-        feet = seq.world_landmarks_all()[:, list(body.CONTACT_LANDMARKS)]
+        feet = body.world_landmarks(seq)[:, list(body.CONTACT_LANDMARKS)]
         vel = Tensor((feet[1:] - feet[:-1])[:, None])
         loss = foot_sliding_loss(vel, seq.contacts[:-1, None])
         assert loss.item() < 4e-6

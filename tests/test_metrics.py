@@ -130,7 +130,7 @@ class TestFootSlide:
 
     def test_generator_walk_truth(self):
         seq = body.generate_gait("walk", 81, seed=3)
-        feet = seq.world_landmarks_all()[:, list(body.CONTACT_LANDMARKS)]
+        feet = body.world_landmarks(seq)[:, list(body.CONTACT_LANDMARKS)]
         assert metrics.foot_slide(feet, seq.contacts) < 2.0
 
     def test_no_contact_undefined(self):
@@ -140,7 +140,7 @@ class TestFootSlide:
 
 def synthetic_world_pair(rng, frames=230, noise=0.02):
     seq = body.generate_gait("walk", frames, seed=int(rng.integers(1000)))
-    truth = seq.world_landmarks_all()
+    truth = body.world_landmarks(seq)
     pred = truth + rng.normal(0, noise, size=truth.shape)
     return pred, truth, seq
 
@@ -228,7 +228,7 @@ class TestRte:
 class TestMetricReportAssembly:
     def test_oracle_report_all_zero(self):
         seq = body.generate_gait("walk", 120, seed=8)
-        world = seq.world_landmarks_all()
+        world = body.world_landmarks(seq)
         rep = metrics.compute_report(seq.local_pose, seq.local_pose, world, world,
                                      seq.contacts, seq.fps,
                                      pred_rot0=seq.root_rot[0], truth_rot0=seq.root_rot[0])
@@ -261,7 +261,7 @@ class TestMetricReportAssembly:
 
     def test_nan_flags_for_undefined(self):
         seq = body.generate_gait("stand", 50, seed=1)
-        world = seq.world_landmarks_all()
+        world = body.world_landmarks(seq)
         rep = metrics.compute_report(seq.local_pose, seq.local_pose, world, world,
                                      np.zeros_like(seq.contacts), seq.fps,
                                      pred_rot0=seq.root_rot[0], truth_rot0=seq.root_rot[0])

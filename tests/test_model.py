@@ -9,6 +9,8 @@ from whamkit.model import (ENCODER_INPUT_DIM, ModelDims, WhamModel, WhamParams,
                            adjust_velocity, extract_velocities, rollout,
                            rollout_np)
 
+from tests.conftest import is_rotation
+
 DIMS = ModelDims(hidden=8, feature_dim=8, integrator_hidden=8, init_hidden=16)
 
 
@@ -110,7 +112,7 @@ class TestResidualIdentities:
         kp, omega, feats = random_inputs()
         phi, _ = model.encode(kp)
         saved = {}
-        for name in model.params.names():
+        for name in model.params.slices():
             if name.startswith("integrator"):
                 saved[name] = model.params[name].data.copy()
                 model.params[name].data = np.zeros_like(saved[name])
@@ -129,7 +131,7 @@ class TestResidualIdentities:
         phi, _ = model.encode(kp)
         rot0, vel0 = model.decode_trajectory(phi, omega)
         saved = {}
-        for name in model.params.names():
+        for name in model.params.slices():
             if name.startswith("refiner.head"):
                 saved[name] = model.params[name].data.copy()
                 model.params[name].data = np.zeros_like(saved[name])
@@ -143,7 +145,7 @@ class TestResidualIdentities:
         kp, omega, _ = random_inputs(seed=9)
         phi, _ = model.encode(kp)
         saved = {}
-        for name in model.params.names():
+        for name in model.params.slices():
             if name.startswith("traj_dec.head"):
                 saved[name] = model.params[name].data.copy()
                 model.params[name].data = np.zeros_like(saved[name])
@@ -196,7 +198,7 @@ class TestOutputValidity:
         for stack in (out.cam_root_rot, out.root_rot0, out.root_rot):
             flat = stack.data.reshape(-1, 3, 3)
             for r in flat:
-                assert geom.is_rotation(r, tol=1e-9)
+                assert is_rotation(r, tol=1e-9)
 
     def test_contact_in_unit_interval(self, model):
         kp, omega, feats = random_inputs(frames=5, seed=13)
@@ -221,12 +223,12 @@ class TestOutputValidity:
 
     def test_infer_ablation_switches(self, model):
         kp, omega, feats = random_inputs(frames=6, batch=1, seed=17)
-        base = model.infer(kp[:, 0], omega[:, 0], feats[:, 0])
-        no_ref = model.infer(kp[:, 0], omega[:, 0], feats[:, 0], use_refiner=False)
+        base = model.infer_batch(kp, omega, feats)[0]
+        no_ref = model.infer_batch(kp, omega, feats, use_refiner=False)[0]
         assert (no_ref.root_rot == no_ref.root_rot0).all()
         assert (no_ref.vel == no_ref.vel0).all()
-        no_om = model.infer(kp[:, 0], omega[:, 0], feats[:, 0], use_omega=False)
-        zero_om = model.infer(kp[:, 0], np.zeros_like(omega[:, 0]), feats[:, 0])
+        no_om = model.infer_batch(kp, omega, feats, use_omega=False)[0]
+        zero_om = model.infer_batch(kp, np.zeros_like(omega), feats)[0]
         assert (no_om.root_rot0 == zero_om.root_rot0).all()
         assert base.local_pose.shape == (6, 21, 3)
 
@@ -234,7 +236,7 @@ class TestOutputValidity:
 class TestNeuralInit:
     def test_zero_weight_heads_give_zero_states(self, model):
         saved = {}
-        for name in model.params.names():
+        for name in model.params.slices():
             if name.startswith("init_net"):
                 saved[name] = model.params[name].data.copy()
                 model.params[name].data = np.zeros_like(saved[name])

@@ -6,6 +6,8 @@ import pytest
 from whamkit import body, geom, synth
 from whamkit.errors import InvalidInputError
 
+from tests.conftest import camera_pitch_roll, is_rotation
+
 WALK = body.generate_gait("walk", 81, seed=3)
 
 
@@ -46,7 +48,7 @@ class TestCameraSynthesis:
         assert (a.rotations == b.rotations).all()
         assert (a.translations == b.translations).all()
         for r in a.rotations[::13]:
-            assert geom.is_rotation(r, tol=1e-9)
+            assert is_rotation(r, tol=1e-9)
 
     def test_frame0_root_in_frame_many_draws(self):
         cfg = synth.SynthConfig()
@@ -67,7 +69,7 @@ class TestCameraSynthesis:
     def test_pitch_roll_recovery(self):
         cfg = degenerate_config(pitch_mean_deg=17.0, roll_std_deg=0.0)
         cams = synth.synth_camera(WALK, cfg.pinhole(), cfg, seed=2)
-        pitch, roll = synth.camera_pitch_roll(cams.rotations[0])
+        pitch, roll = camera_pitch_roll(cams.rotations[0])
         assert abs(math.degrees(pitch) - 17.0) < 1e-9
         assert abs(math.degrees(roll)) < 1e-9
 
@@ -91,7 +93,7 @@ class TestKeypointSynthesis:
         kps = synth.synth_keypoints(WALK, cams, cfg, seed=2)
         assert (kps.mask == 1).all()
         px = kps.to_pixels()
-        world = WALK.world_landmarks_all()[:, :17]
+        world = body.world_landmarks(WALK)[:, :17]
         for t in range(WALK.num_frames):
             want = geom.project(cams.pinhole, cams.world_to_camera(world[t], t))
             assert np.abs(px[t] - want).max() < 1e-9
@@ -184,8 +186,8 @@ class TestRootYawAugmentation:
     def test_yaw_rotates_world(self):
         out = synth.apply_root_yaw(WALK, np.pi / 2)
         r = geom.rot_y(np.pi / 2)
-        want = WALK.world_landmarks_all() @ r.T
-        assert np.abs(out.world_landmarks_all() - want).max() < 1e-9
+        want = body.world_landmarks(WALK) @ r.T
+        assert np.abs(body.world_landmarks(out) - want).max() < 1e-9
 
     def test_local_pose_unchanged(self):
         out = synth.apply_root_yaw(WALK, 1.0)

@@ -48,7 +48,7 @@ class TestChunking:
 class TestLrScale:
     def test_integrator_gets_full_rate(self):
         params = WhamParams(TOY_DIMS, seed=0).params
-        scale = _lr_scale(params, base_lr=1e-4, integrator_lr=1e-4, pretrained_lr=1e-5)
+        scale = _lr_scale(params, integrator_lr=1e-4, pretrained_lr=1e-5)
         blocks = params.block_slices()
         assert np.allclose(scale[blocks["integrator"]], 1.0)
         for name, sl in blocks.items():
