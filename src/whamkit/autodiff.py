@@ -277,11 +277,6 @@ def exp(a) -> Tensor:
     return _node(out_data, (a,), lambda g: (g * out_data,))
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
@@ -291,12 +286,6 @@ def sqrt(a) -> Tensor:
 def square(a) -> Tensor:
     a = as_tensor(a)
     return _node(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-    return _node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ class _RunSettings:
     lr_pretrained: float = 1e-5     # finetune: everything else
     batch_size: int = 64
     chunk_len: int = 81
-    metric_fps: float = 30.0
 
     def __post_init__(self) -> None:
         if self.epochs < 0 or self.batch_size < 1 or self.chunk_len < 2:

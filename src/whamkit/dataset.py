@@ -47,8 +47,7 @@ KEYPOINT_KEYS = (("kp", "keypoints", (NUM_KEYPOINTS_2D, 2), float),
                  ("mask", "mask", (NUM_KEYPOINTS_2D,), np.uint8),
                  ("center", "center", (2,), float), ("scale", "scale", (), float),
                  ("carried", "carried", (), bool))
-# The motion keys of an inferred sequence plus its intermediate channels;
-# the cascade landmarks are not written.
+# The motion keys of an inferred sequence plus its intermediate channels.
 OUTPUT_KEYS = (("gamma", "root_rot", (3, 3), float), ("tau", "root_pos", (3,), float),
                ("local", "local_pose", (NUM_LANDMARKS, 3), float),
                ("contact", "contact", (4,), float), ("gamma0", "root_rot0", (3, 3), float),
@@ -74,8 +73,10 @@ def _write(path, header: dict, obj, keys) -> None:
 
 def _read(path, header_keys: tuple, keys) -> tuple[dict, dict]:
     """({header key: value}, {field: array of shape (frames,) + shape}) of a
-    file written by _write. A malformed line, a missing key or a value of
-    the wrong length raises InvalidInputError naming the file and the key."""
+    file written by _write. A malformed line, a missing key, a header value
+    of the wrong type (skeleton_version is a string, every other header key
+    a number) or a frame value of the wrong length raises InvalidInputError
+    naming the file and the key."""
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
@@ -84,6 +85,11 @@ def _read(path, header_keys: tuple, keys) -> tuple[dict, dict]:
             raise InvalidInputError(f"{path}: malformed NDJSON line: {exc}") from exc
     if not isinstance(header, dict) or not header.keys() >= set(header_keys):
         raise InvalidInputError(f"{path}: the header needs the keys {header_keys}")
+    for key in header_keys:
+        kind = str if key == "skeleton_version" else (int, float)
+        if not isinstance(header[key], kind) or isinstance(header[key], bool):
+            raise InvalidInputError(f"{path}: header key {key!r} must be a "
+                                    + ("string" if kind is str else "number"))
     fields = {}
     for key, name, shape, kind in keys:
         try:
@@ -187,8 +193,21 @@ def write_manifest(out_dir, cfg: SynthConfig, seed: int, count: int) -> dict:
 
 
 def read_manifest(dataset_dir) -> dict:
-    with open(os.path.join(dataset_dir, "manifest.json")) as fh:
-        return json.load(fh)
+    """The manifest of a dataset directory. One that does not parse, is not
+    an object, or lacks splits or config.feature_dim raises
+    InvalidInputError."""
+    path = os.path.join(dataset_dir, "manifest.json")
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed manifest: {exc}") from exc
+    if not (isinstance(manifest, dict) and "splits" in manifest
+            and isinstance(manifest.get("config"), dict)
+            and "feature_dim" in manifest["config"]):
+        raise InvalidInputError(f"{path}: the manifest must be an object with the keys "
+                                "splits and config.feature_dim")
+    return manifest
 
 
 # -- synthesis ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,18 +14,9 @@ from . import dataset as ds
 from . import geom, metrics, svg
 from .body import world_landmarks
 from .dataset import SequenceBundle
-from .model import WhamModel, WhamOutput
+from .model import AblationFlags, WhamModel, WhamOutput, extract_velocities
 
 CSV_COLUMNS = ("seq",) + metrics.MetricReport.FIELDS + ("segments", "flags")
-
-
-@dataclass
-class AblationFlags:
-    use_integrator: bool = True
-    use_omega: bool = True
-    use_refiner: bool = True
-    use_neural_init: bool = True
-
 
 # Sequences per batched inference forward, at most. Per-frame dispatch, not
 # arithmetic, dominates a forward at small batch, so batching equal-length
@@ -52,11 +42,7 @@ def infer_bundles(model: WhamModel, bundles: list[SequenceBundle],
             batch = model.infer_batch(
                 stack(b.enc_input for b in group), stack(b.cams.omega for b in group),
                 features=stack(b.features for b in group),
-                fps=[b.seq.fps for b in group],
-                use_integrator=flags.use_integrator,
-                use_omega=flags.use_omega,
-                use_refiner=flags.use_refiner,
-                neural_init_mode="self" if flags.use_neural_init else "zero")
+                fps=[b.seq.fps for b in group], flags=flags)
             for i, out in zip(members, batch):
                 outputs[i] = out
     return outputs
@@ -78,21 +64,15 @@ def report_for(pred: WhamOutput, bundle: SequenceBundle) -> metrics.MetricReport
 
 def oracle_output(bundle: SequenceBundle) -> WhamOutput:
     """A prediction equal to the ground truth (for pipeline self-checks)."""
-    seq = bundle.seq
-    n = seq.num_frames
-    from .model import extract_velocities
+    seq, cams = bundle.seq, bundle.cams
     vel = extract_velocities(seq.root_rot, seq.root_pos)
-    cam_rot = np.einsum("tij,tjk->tik", bundle.cams.rotations, seq.root_rot)
-    cam_pos = (np.einsum("tij,tj->ti", bundle.cams.rotations, seq.root_pos)
-               + bundle.cams.translations)
-    return WhamOutput(fps=seq.fps, local_pose=seq.local_pose.copy(),
-                      contact=seq.contacts.copy(), cam_root_pos=cam_pos,
-                      cam_root_rot=cam_rot,
-                      bone_scales=np.tile(seq.bone_scales, (n, 1)),
-                      kp3d_cascade=seq.local_pose.copy(),
-                      root_rot0=seq.root_rot.copy(), vel0=vel.copy(),
-                      vel_adj=vel.copy(), root_rot=seq.root_rot.copy(),
-                      vel=vel.copy(), root_pos=seq.root_pos.copy())
+    return WhamOutput(fps=seq.fps, local_pose=seq.local_pose, contact=seq.contacts,
+                      cam_root_pos=np.einsum("tij,tj->ti", cams.rotations, seq.root_pos)
+                      + cams.translations,
+                      cam_root_rot=np.einsum("tij,tjk->tik", cams.rotations, seq.root_rot),
+                      bone_scales=np.tile(seq.bone_scales, (seq.num_frames, 1)),
+                      root_rot0=seq.root_rot, vel0=vel, vel_adj=vel,
+                      root_rot=seq.root_rot, vel=vel, root_pos=seq.root_pos)
 
 
 def _fmt(value) -> str:

@@ -62,11 +62,6 @@ def _mean_sq(diff: Tensor) -> Tensor:
     return ad.tmean(ad.square(diff))
 
 
-def _frob_sq_mean(diff: Tensor) -> Tensor:
-    """Mean over the batch axes of the squared Frobenius norm of (..., 3, 3)."""
-    return ad.tmean(ad.tsum(ad.square(ad.reshape(diff, diff.shape[:-2] + (9,))), axis=-1))
-
-
 def reprojection_loss(cam_points: Tensor, kp_px: np.ndarray, visible: np.ndarray,
                       focal: np.ndarray, cx: np.ndarray, cy: np.ndarray,
                       image_w: float) -> tuple[Tensor, int]:
@@ -140,7 +135,7 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
     terms: dict[str, Tensor] = {}
     terms["pose"] = _mean_sq_norm(out.local_pose - pose_t)
     terms["shape"] = _mean_sq(out.bone_scales - Tensor(truth["bone_scales"][None, :, :]))
-    terms["kp3d"] = _mean_sq_norm(out.kp3d_cascade - pose_t) + _mean_sq_norm(out.local_pose - pose_t)
+    terms["kp3d"] = _mean_sq_norm(out.kp3d_cascade - pose_t) + terms["pose"]
     terms["cascade"] = _mean_sq_norm(out.kp3d_cascade - out.local_pose)
 
     cam_pts = (ad.matmul(out.local_pose[:, :, :NUM_KEYPOINTS_2D, :],
@@ -150,14 +145,18 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
                                          truth["focal"], truth["cx"], truth["cy"],
                                          truth["image_w"])
 
+    # A (T, B, 3, 3) rotation difference as (T, B, 9) rows, whose squared
+    # norm is the squared Frobenius norm.
+    rows = lambda diff: ad.reshape(diff, (t, b, 9))
     rot_t = Tensor(truth["root_rot"])
     vel_t = Tensor(truth["root_vel"])
-    terms["root_rot"] = _frob_sq_mean(out.root_rot0 - rot_t) + _frob_sq_mean(out.root_rot - rot_t)
+    terms["root_rot"] = (_mean_sq_norm(rows(out.root_rot0 - rot_t))
+                         + _mean_sq_norm(rows(out.root_rot - rot_t)))
     terms["root_vel"] = _mean_sq_norm(out.vel0 - vel_t) + _mean_sq_norm(out.vel - vel_t)
     terms["contact"] = contact_loss(out.contact_logit, truth["contacts"])
 
     cam_rot_pred = predicted_camera_rotation(out)
-    terms["cam_rot"] = _frob_sq_mean(cam_rot_pred - Tensor(truth["cam_rot"]))
+    terms["cam_rot"] = _mean_sq_norm(rows(cam_rot_pred - Tensor(truth["cam_rot"])))
     rel = ad.matmul(ad.swap_last(cam_rot_pred[:-1]), cam_rot_pred[1:])
     omega_pred = rotops.so3_log(rel)
     terms["ang_vel"] = _mean_sq_norm(omega_pred - Tensor(truth["omega"][1:]))

@@ -18,6 +18,7 @@ from .errors import InvalidInputError, UndefinedMetricError
 
 MM = 1000.0
 HIP_PAIR = (L["left_hip"], L["right_hip"])
+SEGMENT_LEN = 100  # frames per world-MPJPE segment
 
 
 def _check_shapes(pred, truth):
@@ -28,15 +29,10 @@ def _check_shapes(pred, truth):
     return pred, truth
 
 
-def _center(points: np.ndarray, indices) -> np.ndarray:
-    root = points[:, list(indices), :].mean(axis=1, keepdims=True)
-    return points - root
-
-
-def mpjpe(pred: np.ndarray, truth: np.ndarray, center_indices=HIP_PAIR) -> float:
+def mpjpe(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean per-joint position error (mm) after per-frame pelvis centering."""
     pred, truth = _check_shapes(pred, truth)
-    d = _center(pred, center_indices) - _center(truth, center_indices)
+    d = (pred - roots(pred)[:, None]) - (truth - roots(truth)[:, None])
     return float(np.linalg.norm(d, axis=-1).mean() * MM)
 
 
@@ -109,19 +105,18 @@ class SegmentDetail:
     flags: list = field(default_factory=list)
 
 
-def _segments(n: int, segment_len: int):
-    for start in range(0, n, segment_len):
-        stop = min(start + segment_len, n)
+def _segments(n: int):
+    for start in range(0, n, SEGMENT_LEN):
+        stop = min(start + SEGMENT_LEN, n)
         if stop - start >= 2:
             yield start, stop
 
 
 def world_mpjpe_100(pred_world: np.ndarray, truth_world: np.ndarray, mode: str,
-                    segment_len: int = 100,
                     pred_rot0: np.ndarray | None = None,
                     truth_rot0: np.ndarray | None = None
                     ) -> tuple[float, list[SegmentDetail]]:
-    """World MPJPE (mm) over fixed-length segments.
+    """World MPJPE (mm) over segments of SEGMENT_LEN frames.
 
     mode "W": each segment is aligned by its first two frames, a translation
     matching the frame-0 roots plus a gravity-axis yaw matching the heading
@@ -137,7 +132,7 @@ def world_mpjpe_100(pred_world: np.ndarray, truth_world: np.ndarray, mode: str,
     pred_roots = roots(pred)
     truth_roots = roots(truth)
     details = []
-    for start, stop in _segments(pred.shape[0], segment_len):
+    for start, stop in _segments(pred.shape[0]):
         p, q = pred[start:stop], truth[start:stop]
         pr, qr = pred_roots[start:stop], truth_roots[start:stop]
         flags = []

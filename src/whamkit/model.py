@@ -126,6 +126,19 @@ class ForwardOutputs:
     root_pos: Tensor         # (T, B, 3) rolled-out world translation
 
 
+@dataclass(frozen=True)
+class AblationFlags:
+    """Inference switches. Turned off, use_integrator drops the feature
+    fusion, use_omega zeroes the angular-velocity conditioning, use_refiner
+    bypasses the contact-aware refinement stage, and use_neural_init starts
+    the recurrences from zero states instead of the "self" initialization."""
+
+    use_integrator: bool = True
+    use_omega: bool = True
+    use_refiner: bool = True
+    use_neural_init: bool = True
+
+
 @dataclass
 class WhamOutput:
     """Numpy view of a single inferred sequence."""
@@ -136,7 +149,6 @@ class WhamOutput:
     cam_root_pos: np.ndarray
     cam_root_rot: np.ndarray
     bone_scales: np.ndarray
-    kp3d_cascade: np.ndarray
     root_rot0: np.ndarray
     vel0: np.ndarray
     vel_adj: np.ndarray
@@ -158,22 +170,21 @@ def pack_encoder_input(kp_norm: np.ndarray, mask: np.ndarray,
                            center, scale.reshape(t, 1)], axis=1)
 
 
-def center_pose(flat: Tensor, anchored: bool = True) -> Tensor:
-    """Decode a (N, 63) head output to a hip-centered (N, 21, 3) pose.
-
-    With anchored=True the output is an offset on the rest posture."""
-    if anchored:
-        flat = flat + Tensor(_REST_ANCHOR)
+def center_pose(flat: Tensor) -> Tensor:
+    """Decode a (N, 63) head output, an offset on the rest posture, to a
+    hip-centered (N, 21, 3) pose."""
+    flat = flat + Tensor(_REST_ANCHOR)
     n = flat.shape[0]
     pose = ad.reshape(flat, (n, NUM_LANDMARKS, 3))
     mid = (pose[:, L["left_hip"]] + pose[:, L["right_hip"]]) * 0.5
     return pose - ad.reshape(mid, (n, 1, 3))
 
 
-def rollout(root_rot: Tensor, vel: Tensor, origin: np.ndarray) -> Tensor:
-    """Cumulative trajectory integration tau[t+1] = tau[t] + R[t] @ v[t]."""
+def rollout(root_rot: Tensor, vel: Tensor) -> Tensor:
+    """Cumulative trajectory integration tau[t+1] = tau[t] + R[t] @ v[t]
+    from tau[0] = 0."""
     t, b = vel.shape[0], vel.shape[1]
-    tau0 = Tensor(np.broadcast_to(np.asarray(origin, dtype=float), (1, b, 3)))
+    tau0 = Tensor(np.zeros((1, b, 3)))
     steps = ad.reshape(ad.matmul(root_rot[:t - 1], ad.reshape(vel[:t - 1], (t - 1, b, 3, 1))),
                        (t - 1, b, 3))
     return ad.cumsum(ad.concat([tau0, steps], axis=0), axis=0)
@@ -208,7 +219,7 @@ def adjust_velocity(local_pose: Tensor, contact: Tensor,
     vel0 unchanged. The gate (p > 0.5) is a constant in the backward pass.
     """
     t, b = vel0.shape[0], vel0.shape[1]
-    tau0 = rollout(root_rot0, vel0, np.zeros(3))
+    tau0 = rollout(root_rot0, vel0)
     feet = local_pose[:, :, FOOT_SLICE, :]
     feet_w = ad.matmul(feet, ad.swap_last(root_rot0)) + ad.reshape(tau0, (t, b, 1, 3))
     dv = feet_w[1:] - feet_w[:-1]
@@ -308,14 +319,13 @@ class WhamModel:
                 features: np.ndarray | None = None,
                 init_pose: np.ndarray | None = None,
                 neural_init_mode: str = "zero",
-                use_refiner: bool = True,
-                origin: np.ndarray | None = None) -> ForwardOutputs:
+                use_refiner: bool = True) -> ForwardOutputs:
         """Run the whole pipeline on a (T, B, ...) batch.
 
         neural_init_mode: "zero" (conventional), "truth" (init_pose given),
-        or "self" (a frame-0 pass with zero hidden state predicts the pose
-        that seeds the initializer). Disabling the refiner skips both the
-        velocity adjustment and the refinement network.
+        or "self" (the frame-0 pose of a zero-state pass through the encoder,
+        integrator and motion decoder seeds the initializer). Disabling the
+        refiner skips both the velocity adjustment and the refinement network.
         """
         if kp_input.ndim != 3:
             raise InvalidInputError("kp_input must be (T, B, D)")
@@ -323,16 +333,17 @@ class WhamModel:
         if t < 2 or b < 1:
             raise InvalidInputError("need at least 2 frames and a nonempty batch")
 
+        h_e0 = h_d0 = None
         if neural_init_mode == "truth":
             if init_pose is None:
                 raise InvalidInputError("truth neural init needs init_pose")
             h_e0, h_d0 = self.neural_init(Tensor(init_pose.reshape(b, POSE_DIM)))
         elif neural_init_mode == "self":
-            pose0 = self._frame0_pose(kp_input[0], None if features is None else features[0])
-            h_e0, h_d0 = self.neural_init(ad.reshape(pose0, (b, POSE_DIM)))
-        elif neural_init_mode == "zero":
-            h_e0 = h_d0 = None
-        else:
+            phi0, _ = self.encode(kp_input[:1])
+            fused0 = self.integrate(phi0, None if features is None else features[:1])
+            pose0, *_ = self.decode_motion(fused0)
+            h_e0, h_d0 = self.neural_init(ad.reshape(pose0[0], (b, POSE_DIM)))
+        elif neural_init_mode != "zero":
             raise InvalidInputError(f"unknown neural_init_mode {neural_init_mode!r}")
 
         phi, casc = self.encode(kp_input, h_e0)
@@ -346,7 +357,7 @@ class WhamModel:
             rot, vel = self.refine_trajectory(phi, rot0, vel_adj)
         else:
             vel_adj, rot, vel = vel0, rot0, vel0
-        tau = rollout(rot, vel, np.zeros(3) if origin is None else origin)
+        tau = rollout(rot, vel)
 
         return ForwardOutputs(motion_feats=phi, fused_feats=fused, kp3d_cascade=casc,
                               local_pose=pose, contact_logit=contact_logit,
@@ -355,34 +366,21 @@ class WhamModel:
                               vel0=vel0, vel_adj=vel_adj, root_rot=rot, vel=vel,
                               root_pos=tau)
 
-    def _frame0_pose(self, kp0: np.ndarray, feat0: np.ndarray | None) -> Tensor:
-        """Single-frame lifting with zero hidden state, for test-time init."""
-        b = kp0.shape[0]
-        h = self.weights.encoder_gru.step(Tensor(kp0), Tensor(np.zeros((b, self.dims.hidden))))
-        if feat0 is not None:
-            h = h + self.weights.integrator(ad.concat([h, Tensor(feat0)], axis=1))
-        hd = self.weights.motion_gru.step(h, Tensor(np.zeros((b, self.dims.hidden))))
-        return center_pose(self.weights.head_pose(hd))
-
     def infer_batch(self, kp_input: np.ndarray, omega: np.ndarray,
                     features: np.ndarray | None = None, fps=30.0,
-                    use_integrator: bool = True, use_omega: bool = True,
-                    use_refiner: bool = True, neural_init_mode: str = "self",
-                    origin=(0.0, 0.0, 0.0)) -> list[WhamOutput]:
+                    flags: AblationFlags = AblationFlags()) -> list[WhamOutput]:
         """No-grad inference on a (T, B, ...) batch of independent sequences;
         returns one WhamOutput per batch column.
 
         kp_input is (T, B, 54), omega (T, B, 3), features (T, B, F) or None;
-        fps is one rate or one per column. Ablation switches: use_integrator
-        drops the feature fusion, use_omega zeroes the angular-velocity
-        conditioning, use_refiner bypasses the contact-aware refinement stage.
+        fps is one rate or one per column.
         """
-        om = omega if use_omega else np.zeros_like(omega)
+        om = omega if flags.use_omega else np.zeros_like(omega)
         with ad.no_grad():
-            out = self.forward(kp_input, om, features=features if use_integrator else None,
-                               neural_init_mode=neural_init_mode,
-                               use_refiner=use_refiner,
-                               origin=np.asarray(origin, dtype=float))
+            out = self.forward(kp_input, om,
+                               features=features if flags.use_integrator else None,
+                               neural_init_mode="self" if flags.use_neural_init else "zero",
+                               use_refiner=flags.use_refiner)
         rates = np.broadcast_to(np.asarray(fps, dtype=float), (kp_input.shape[1],))
         return [WhamOutput(fps=float(rate),
                            **{name: np.ascontiguousarray(getattr(out, name).data[:, i])

@@ -160,7 +160,7 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
     def save(epoch: int) -> None:
         save_checkpoint(ckpt_path, dims.to_dict(), weights.params.get_flat(),
                         meta={"stage": stage, "epoch": epoch, "seed": cfg.seed,
-                              "adam_step": adam.step_count, "fps": cfg.metric_fps,
+                              "adam_step": adam.step_count,
                               "loss_weights": cfg.loss_weights().to_dict()},
                         extra_sections={"adam_m": adam.m if adam.m is not None
                                         else np.zeros(weights.params.size),

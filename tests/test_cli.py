@@ -277,6 +277,36 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert str(path) in err and repr(key) in err
 
+    @pytest.mark.parametrize("suffix, key, value", [(".cam.ndjson", "f", "abc"),
+                                                    (".ndjson", "fps", "x"),
+                                                    (".kp2d.ndjson", "w", None)])
+    def test_header_value_of_wrong_type_is_usage_error(self, workspace, tmp_path, capsys,
+                                                       suffix, key, value):
+        _, data = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        k = ds.read_manifest(copy)["splits"]["test"][0]
+        path = copy / f"seq_{k}{suffix}"
+        lines = path.read_text().split("\n")
+        header = json.loads(lines[0])
+        header[key] = value
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines))
+        assert run_cli("eval", "--oracle", "--dataset", str(copy), "--out",
+                       str(tmp_path / "ev"), "--no-svg") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
+    @pytest.mark.parametrize("text", ["{", "[]", "{}", '{"splits": {"test": []}}'])
+    def test_malformed_manifest_is_usage_error(self, workspace, tmp_path, capsys, text):
+        _, data = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        (copy / "manifest.json").write_text(text)
+        assert run_cli("eval", "--oracle", "--dataset", str(copy), "--out",
+                       str(tmp_path / "ev"), "--no-svg") == 2
+        assert str(copy / "manifest.json") in capsys.readouterr().err
+
     def test_eval_without_checkpoint_is_usage_error(self, workspace):
         _, data = workspace
         assert run_cli("eval", "--dataset", str(data), "--out", "/tmp/x_eval") == 2

@@ -106,7 +106,7 @@ class TestCodec:
 
     def test_output_table_covers_every_array_field(self):
         written = {name for _, name, _, _ in ds.OUTPUT_KEYS}
-        arrays = {f.name for f in fields(WhamOutput)} - {"fps", "kp3d_cascade"}
+        arrays = {f.name for f in fields(WhamOutput)} - {"fps"}
         assert written == arrays
 
 
@@ -183,7 +183,6 @@ class TestOutputFormat:
                          cam_root_pos=rng.normal(size=(n, 3)),
                          cam_root_rot=np.broadcast_to(np.eye(3), (n, 3, 3)).copy(),
                          bone_scales=np.ones((n, 20)),
-                         kp3d_cascade=rng.normal(size=(n, 21, 3)),
                          root_rot0=np.broadcast_to(np.eye(3), (n, 3, 3)).copy(),
                          vel0=rng.normal(size=(n, 3)), vel_adj=rng.normal(size=(n, 3)),
                          root_rot=np.broadcast_to(np.eye(3), (n, 3, 3)).copy(),

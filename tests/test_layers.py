@@ -12,13 +12,19 @@ def make_gru(in_dim=2, hidden=3, seed=0):
     return params, layer
 
 
+def tanh(a):
+    """A tanh tape node; the package applies tanh only inside GruLayer.sequence."""
+    out = np.tanh(a.data)
+    return ad._node(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
 def composed_step(layer, x, h_prev):
     """The cell equations composed from autodiff ops, one tape node per op:
     the reference for GruLayer.sequence and its backward pass."""
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = layer.weights
     z = ad.sigmoid(ad.matmul(x, w_z) + ad.matmul(h_prev, u_z) + b_z)
     r = ad.sigmoid(ad.matmul(x, w_r) + ad.matmul(h_prev, u_r) + b_r)
-    hc = ad.tanh(ad.matmul(x, w_h) + ad.matmul(ad.mul(r, h_prev), u_h) + b_h)
+    hc = tanh(ad.matmul(x, w_h) + ad.matmul(ad.mul(r, h_prev), u_h) + b_h)
     return (1.0 - z) * h_prev + z * hc
 
 

@@ -5,8 +5,8 @@ import whamkit.autodiff as ad
 from whamkit import body, geom
 from whamkit.autodiff import Tensor
 from whamkit.errors import InvalidInputError
-from whamkit.model import (ENCODER_INPUT_DIM, ModelDims, WhamModel, WhamParams,
-                           adjust_velocity, extract_velocities, rollout,
+from whamkit.model import (ENCODER_INPUT_DIM, AblationFlags, ModelDims, WhamModel,
+                           WhamParams, adjust_velocity, extract_velocities, rollout,
                            rollout_np)
 
 from tests.conftest import is_rotation
@@ -31,7 +31,7 @@ class TestRollout:
     def test_straight_line(self):
         rot = Tensor(np.broadcast_to(np.eye(3), (101, 1, 3, 3)).copy())
         vel = Tensor(np.full((101, 1, 3), [0.0, 0.0, 0.01]))
-        tau = rollout(rot, vel, np.zeros(3)).data[:, 0]
+        tau = rollout(rot, vel).data[:, 0]
         assert np.abs(tau[100] - [0, 0, 1.0]).max() < 1e-12
 
     def test_zero_velocity_constant(self):
@@ -39,16 +39,15 @@ class TestRollout:
         rot = Tensor(np.stack([np.stack([geom.exp_so3(rng.normal(size=3))
                                          for _ in range(2)]) for _ in range(7)]))
         vel = Tensor(np.zeros((7, 2, 3)))
-        tau = rollout(rot, vel, np.array([1.0, 2.0, 3.0])).data
-        assert np.abs(tau - [1.0, 2.0, 3.0]).max() == 0.0
+        tau = rollout(rot, vel).data
+        assert (tau == 0.0).all()
 
     def test_matches_numpy_rollout(self):
         rng = np.random.default_rng(4)
         rots = np.stack([geom.exp_so3(rng.normal(size=3)) for _ in range(81)])
         vel = rng.normal(0, 0.05, size=(81, 3))
-        origin = rng.normal(size=3)
-        got = rollout(Tensor(rots[:, None]), Tensor(vel[:, None]), origin).data[:, 0]
-        assert np.abs(got - rollout_np(rots, vel, origin=origin)).max() <= 1e-12
+        got = rollout(Tensor(rots[:, None]), Tensor(vel[:, None])).data[:, 0]
+        assert np.abs(got - rollout_np(rots, vel)).max() <= 1e-12
 
     def test_extract_then_rollout_round_trip(self):
         rng = np.random.default_rng(2)
@@ -211,11 +210,6 @@ class TestOutputValidity:
         mid = 0.5 * (out.local_pose.data[:, :, 11] + out.local_pose.data[:, :, 12])
         assert np.abs(mid).max() < 1e-12
 
-    def test_origin_respected(self, model):
-        kp, omega, feats = random_inputs(frames=5, seed=15)
-        out = model.forward(kp, omega, features=feats, origin=np.array([1.0, 2.0, 3.0]))
-        assert (out.root_pos.data[0] == [1.0, 2.0, 3.0]).all()
-
     def test_too_short_rejected(self, model):
         kp, omega, feats = random_inputs(frames=1, seed=16)
         with pytest.raises(InvalidInputError):
@@ -224,12 +218,20 @@ class TestOutputValidity:
     def test_infer_ablation_switches(self, model):
         kp, omega, feats = random_inputs(frames=6, batch=1, seed=17)
         base = model.infer_batch(kp, omega, feats)[0]
-        no_ref = model.infer_batch(kp, omega, feats, use_refiner=False)[0]
+        no_ref = model.infer_batch(kp, omega, feats, flags=AblationFlags(use_refiner=False))[0]
         assert (no_ref.root_rot == no_ref.root_rot0).all()
         assert (no_ref.vel == no_ref.vel0).all()
-        no_om = model.infer_batch(kp, omega, feats, use_omega=False)[0]
+        no_om = model.infer_batch(kp, omega, feats, flags=AblationFlags(use_omega=False))[0]
         zero_om = model.infer_batch(kp, np.zeros_like(omega), feats)[0]
         assert (no_om.root_rot0 == zero_om.root_rot0).all()
+        no_int = model.infer_batch(kp, omega, feats, flags=AblationFlags(use_integrator=False))[0]
+        no_feats = model.infer_batch(kp, omega, None)[0]
+        no_init = model.infer_batch(kp, omega, feats, flags=AblationFlags(use_neural_init=False))
+        with ad.no_grad():
+            zero = model.forward(kp, omega, features=feats, neural_init_mode="zero")
+        for name in ("local_pose", "contact", "cam_root_rot", "root_rot", "vel", "root_pos"):
+            assert (getattr(no_int, name) == getattr(no_feats, name)).all(), name
+            assert (getattr(no_init[0], name) == getattr(zero, name).data[:, 0]).all(), name
         assert base.local_pose.shape == (6, 21, 3)
 
 
@@ -257,6 +259,18 @@ class TestNeuralInit:
         a = model.forward(kp, omega, features=feats, neural_init_mode="zero")
         b = model.forward(kp, omega, features=feats, neural_init_mode="self")
         assert not (a.local_pose.data == b.local_pose.data).all()
+
+    @pytest.mark.parametrize("with_features", [True, False])
+    def test_self_mode_is_truth_mode_seeded_by_a_zero_state_pass(self, model, with_features):
+        kp, omega, feats = random_inputs(frames=5, seed=24)
+        feats = feats if with_features else None
+        pose0 = model.forward(kp, omega, features=feats, neural_init_mode="zero").local_pose.data[0]
+        a = model.forward(kp, omega, features=feats, neural_init_mode="self")
+        b = model.forward(kp, omega, features=feats, neural_init_mode="truth", init_pose=pose0)
+        for name in ("motion_feats", "fused_feats", "kp3d_cascade", "local_pose", "contact",
+                     "cam_root_pos", "cam_root_rot", "bone_scales", "root_rot0", "vel0",
+                     "vel_adj", "root_rot", "vel", "root_pos"):
+            assert (getattr(a, name).data == getattr(b, name).data).all(), name
 
     def test_truth_mode_needs_pose(self, model):
         kp, omega, feats = random_inputs(frames=5, seed=21)
