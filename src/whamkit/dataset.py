@@ -25,6 +25,7 @@ from . import geom
 from .body import (MotionSequence, NUM_BONES, NUM_KEYPOINTS_2D, NUM_LANDMARKS,
                    SKELETON_VERSION, generate_gait, resample_speed, scales_from_pose)
 from .errors import InvalidInputError
+from .fileio import atomic_write
 from .model import WhamOutput, pack_encoder_input, extract_velocities
 from .synth import (CameraTrajectory, KeypointSequence2D, SynthConfig,
                     apply_root_yaw, synth_camera, synth_keypoints,
@@ -59,13 +60,14 @@ OUTPUT_KEYS = (("gamma", "root_rot", (3, 3), float), ("tau", "root_pos", (3,), f
 
 def _write(path, header: dict, obj, keys) -> None:
     """The header line, then one line per frame of obj's fields under keys;
-    integer and boolean fields are written as integers."""
+    integer and boolean fields are written as integers. The file is replaced
+    atomically."""
     columns = []
     for key, name, shape, kind in keys:
         value = np.asarray(getattr(obj, name), dtype=float if kind is float else int)
         n = value.shape[0]
         columns.append((key, value.reshape((n, math.prod(shape)) if shape else (n,)).tolist()))
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(_dump(header) + "\n")
         for t in range(n):
             fh.write(_dump({"t": t, **{key: rows[t] for key, rows in columns}}) + "\n")

@@ -14,6 +14,7 @@ from . import dataset as ds
 from . import geom, metrics, svg
 from .body import world_landmarks
 from .dataset import SequenceBundle
+from .fileio import atomic_write
 from .model import AblationFlags, WhamModel, WhamOutput, extract_velocities
 
 CSV_COLUMNS = ("seq",) + metrics.MetricReport.FIELDS + ("segments", "flags")
@@ -53,11 +54,14 @@ def infer_bundle(model: WhamModel, bundle: SequenceBundle,
     return infer_bundles(model, [bundle], flags)[0]
 
 
-def report_for(pred: WhamOutput, bundle: SequenceBundle) -> metrics.MetricReport:
+def report_for(pred: WhamOutput, bundle: SequenceBundle, pred_world: np.ndarray,
+               truth_world: np.ndarray) -> metrics.MetricReport:
+    """The metric report of pred against the bundle's ground truth, given
+    the world landmarks of both."""
     truth = bundle.seq
     return metrics.compute_report(
         pred_local=pred.local_pose, truth_local=truth.local_pose,
-        pred_world=world_landmarks(pred), truth_world=world_landmarks(truth),
+        pred_world=pred_world, truth_world=truth_world,
         truth_contacts=truth.contacts, fps=truth.fps,
         pred_rot0=pred.root_rot[0], truth_rot0=truth.root_rot[0])
 
@@ -102,10 +106,10 @@ def evaluate_split(model: WhamModel | None, dataset_dir: str, split: str, out_di
         preds = ([oracle_output(b) for b in block] if oracle
                  else infer_bundles(model, block, flags))
         for bundle, pred in zip(block, preds):
-            rows.append((bundle.index, report_for(pred, bundle)))
+            pred_world, truth_world = world_landmarks(pred), world_landmarks(bundle.seq)
+            rows.append((bundle.index, report_for(pred, bundle, pred_world, truth_world)))
             if write_svg:
-                pred_xy, truth_xy = _aligned_pred_roots(world_landmarks(pred),
-                                                        world_landmarks(bundle.seq))
+                pred_xy, truth_xy = _aligned_pred_roots(pred_world, truth_world)
                 svg.render_topdown(os.path.join(out_dir, f"traj_{bundle.index}.svg"),
                                    truth_xy[:, [0, 2]], pred_xy[:, [0, 2]],
                                    title=f"seq {bundle.index} root path")
@@ -115,7 +119,7 @@ def evaluate_split(model: WhamModel | None, dataset_dir: str, split: str, out_di
         vals = [getattr(r, name) for _, r in rows if not math.isnan(getattr(r, name))]
         aggregate[name] = float(np.mean(vals)) if vals else math.nan
 
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
+    with atomic_write(os.path.join(out_dir, "metrics.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for index, report in rows:

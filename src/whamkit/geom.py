@@ -98,49 +98,62 @@ def slerp(r_a: np.ndarray, r_b: np.ndarray, u: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation followed by translation: x -> R @ x + t."""
+    """Rotation followed by translation: x -> R @ x + t.
+
+    A batch of transforms holds (..., 3, 3) rotations and (..., 3)
+    translations; apply maps (..., N, 3) points with the matching batch."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points) @ self.rotation.T + self.translation
+        return (np.asarray(points) @ np.swapaxes(self.rotation, -1, -2)
+                + self.translation[..., None, :])
 
 
 def kabsch_align(source: np.ndarray, target: np.ndarray,
-                 with_scale: bool = False) -> tuple[RigidTransform, float]:
-    """Least-squares rigid (optionally similarity) alignment source -> target.
+                 with_scale: bool = False) -> tuple[RigidTransform, float | np.ndarray]:
+    """Least-squares rigid (optionally similarity) alignment source -> target,
+    batched over the leading axes of (..., N, 3) point sets (Umeyama 1991).
 
-    Minimizes sum ||s * R @ p_i + t - q_i||^2 over rotations R, translations t
-    and, when with_scale is set, a single positive scale s. Reflections are
-    excluded by sign-correcting the smallest singular value. Rank-deficient
-    point sets yield the deterministic solution picked by numpy's SVD sign
-    convention. Returns (transform, scale); scale is 1.0 in rigid mode.
+    For each item, minimizes sum ||s * R @ p_i + t - q_i||^2 over rotations
+    R, translations t and, when with_scale is set, a single positive scale
+    s. Reflections are excluded by sign-correcting the smallest singular
+    value. Rank-deficient point sets yield the deterministic solution picked
+    by numpy's SVD sign convention; a source with no spread keeps scale 1.
+    Returns (transform, scale): a (3, 3) rotation, (3,) translation and
+    float scale for (N, 3) input, (..., 3, 3), (..., 3) and (...) arrays for
+    batched input. The scale is 1 in rigid mode.
     """
-    src = np.asarray(source, dtype=float).reshape(-1, 3)
-    tgt = np.asarray(target, dtype=float).reshape(-1, 3)
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
     if src.shape != tgt.shape:
         raise InvalidInputError(f"point set shapes differ: {src.shape} vs {tgt.shape}")
-    if src.shape[0] < 1:
+    if src.ndim < 2 or src.shape[-1] != 3:
+        raise InvalidInputError(f"kabsch_align needs (..., N, 3) point sets, got {src.shape}")
+    if src.shape[-2] < 1:
         raise InvalidInputError("kabsch_align needs at least one point")
-    mu_s = src.mean(axis=0)
-    mu_t = tgt.mean(axis=0)
-    ps = src - mu_s
-    pt = tgt - mu_t
-    cov = ps.T @ pt
+    batch = src.shape[:-2]
+    mu_s = src.mean(axis=-2)
+    mu_t = tgt.mean(axis=-2)
+    ps = src - mu_s[..., None, :]
+    pt = tgt - mu_t[..., None, :]
+    cov = np.swapaxes(ps, -1, -2) @ pt
     u, sig, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
-    corr = np.array([1.0, 1.0, d])
-    rot = vt.T @ np.diag(corr) @ u.T
-    scale = 1.0
+    v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
+    d = np.sign(np.linalg.det(v @ ut))
+    diag = np.zeros(batch + (3, 3))
+    diag[..., 0, 0] = diag[..., 1, 1] = 1.0
+    diag[..., 2, 2] = np.where(d == 0.0, 1.0, d)
+    rot = v @ diag @ ut
+    scale = np.ones(batch)
     if with_scale:
-        var_s = float((ps * ps).sum())
-        if var_s > 1e-30:
-            scale = float((sig * corr).sum() / var_s)
-    t = mu_t - scale * rot @ mu_s
-    return RigidTransform(rot, t), scale
+        var_s = (ps * ps).reshape(batch + (-1,)).sum(axis=-1)
+        corr = np.diagonal(diag, axis1=-2, axis2=-1)
+        np.divide((sig * corr).sum(axis=-1), var_s, out=scale, where=var_s > 1e-30)
+    t = mu_t - ((scale[..., None, None] * rot) @ mu_s[..., None])[..., 0]
+    # scale[()] is a float for a single point set and the array otherwise.
+    return RigidTransform(rot, t), scale[()]
 
 
 @dataclass(frozen=True)

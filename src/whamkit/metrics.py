@@ -37,21 +37,20 @@ def mpjpe(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def pa_mpjpe(pred: np.ndarray, truth: np.ndarray) -> float:
-    """MPJPE (mm) after per-frame similarity (Procrustes) alignment."""
+    """MPJPE (mm) after per-frame similarity (Procrustes) alignment, all
+    frames aligned by one batched geom.kabsch_align call."""
     pred, truth = _check_shapes(pred, truth)
-    errs = []
-    for p, q in zip(pred, truth):
-        tf, s = geom.kabsch_align(p, q, with_scale=True)
-        aligned = s * (p @ tf.rotation.T) + tf.translation
-        errs.append(np.linalg.norm(aligned - q, axis=-1).mean())
-    return float(np.mean(errs) * MM)
+    tf, s = geom.kabsch_align(pred, truth, with_scale=True)
+    aligned = (s[:, None, None] * (pred @ np.swapaxes(tf.rotation, -1, -2))
+               + tf.translation[:, None, :])
+    return float(np.linalg.norm(aligned - truth, axis=-1).mean(axis=-1).mean() * MM)
 
 
 def accel_error(pred: np.ndarray, truth: np.ndarray, fps: float) -> float:
     """Mean acceleration difference in m/s^2 (second finite difference)."""
     pred, truth = _check_shapes(pred, truth)
     if pred.shape[0] < 3:
-        raise InvalidInputError("acceleration error needs at least 3 frames")
+        raise UndefinedMetricError("acceleration error needs at least 3 frames")
     a_p = (pred[2:] - 2.0 * pred[1:-1] + pred[:-2]) * fps * fps
     a_t = (truth[2:] - 2.0 * truth[1:-1] + truth[:-2]) * fps * fps
     return float(np.linalg.norm(a_p - a_t, axis=-1).mean())
@@ -62,7 +61,7 @@ def jitter(pred_world: np.ndarray, fps: float) -> float:
     positions, in units of 10 m/s^3."""
     x = np.asarray(pred_world, dtype=float)
     if x.shape[0] < 4:
-        raise InvalidInputError("jitter needs at least 4 frames")
+        raise UndefinedMetricError("jitter needs at least 4 frames")
     d3 = x[3:] - 3.0 * x[2:-1] + 3.0 * x[1:-2] - x[:-3]
     return float(np.linalg.norm(d3, axis=-1).mean() * fps ** 3 / 10.0)
 
@@ -188,7 +187,8 @@ class MetricReport:
     jitter_err is the absolute difference between the prediction's and the
     truth's raw jitter, so a perfect prediction scores zero on every field.
     Metrics undefined for a sequence (RTE on a static subject, FS with no
-    contact) are NaN and mentioned in flags.
+    contact, Accel under 3 frames, jitter under 4) are NaN and mentioned in
+    flags.
     """
 
     mpjpe: float
@@ -216,6 +216,16 @@ class MetricReport:
                 raise InvalidInputError(f"negative metric {name}")
 
 
+def _or_nan(compute, flag: str, flags: list) -> float:
+    """compute(), or NaN with flag appended to flags when the metric is
+    undefined for the sequence."""
+    try:
+        return compute()
+    except UndefinedMetricError:
+        flags.append(flag)
+        return math.nan
+
+
 def compute_report(pred_local: np.ndarray, truth_local: np.ndarray,
                    pred_world: np.ndarray, truth_world: np.ndarray,
                    truth_contacts: np.ndarray, fps: float,
@@ -226,25 +236,22 @@ def compute_report(pred_local: np.ndarray, truth_local: np.ndarray,
                                    pred_rot0=pred_rot0, truth_rot0=truth_rot0)
     wa_val, wa_det = world_mpjpe_100(pred_world, truth_world, "WA")
     flags = [f for d in w_det for f in d.flags]
-    try:
-        rte_val = rte(roots(pred_world), roots(truth_world))
-    except UndefinedMetricError:
-        rte_val = math.nan
-        flags.append("rte_undefined")
+    rte_val = _or_nan(lambda: rte(roots(pred_world), roots(truth_world)), "rte_undefined", flags)
+    accel_val = _or_nan(lambda: accel_error(pred_local, truth_local, fps), "accel_undefined",
+                        flags)
+    jitter_val = _or_nan(lambda: abs(jitter(pred_world, fps) - jitter(truth_world, fps)),
+                         "jitter_undefined", flags)
     feet = list(CONTACT_LANDMARKS)
-    try:
-        fs_val = foot_slide(pred_world[:, feet, :], truth_contacts)
-    except UndefinedMetricError:
-        fs_val = math.nan
-        flags.append("fs_undefined")
+    fs_val = _or_nan(lambda: foot_slide(pred_world[:, feet, :], truth_contacts), "fs_undefined",
+                     flags)
     report = MetricReport(
         mpjpe=mpjpe(pred_local, truth_local),
         pa_mpjpe=pa_mpjpe(pred_local, truth_local),
-        accel_err=accel_error(pred_local, truth_local, fps),
+        accel_err=accel_val,
         w_mpjpe_100=w_val,
         wa_mpjpe_100=wa_val,
         rte=rte_val,
-        jitter_err=abs(jitter(pred_world, fps) - jitter(truth_world, fps)),
+        jitter_err=jitter_val,
         fs=fs_val,
         segments=[{"mode": "W", **d.__dict__} for d in w_det]
                  + [{"mode": "WA", **d.__dict__} for d in wa_det],

@@ -15,13 +15,13 @@ The "params" section is the flat parameter vector; optimizer state adds
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CheckpointError, InvalidInputError
+from .fileio import atomic_write
 
 MAGIC = b"WKCKPT01"
 VERSION = 1
@@ -112,19 +112,12 @@ def save_checkpoint(path, dims: dict, params_vec: np.ndarray,
         "sections": [{"name": n, "count": int(a.size)} for n, a in sections],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp_path = os.fspath(path) + ".tmp"
-    fh = open(tmp_path, "wb")
-    try:
-        with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(blob)))
-            fh.write(blob)
-            for _, arr in sections:
-                fh.write(arr.astype("<f8").tobytes())
-        os.replace(tmp_path, path)
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(blob)))
+        fh.write(blob)
+        for _, arr in sections:
+            fh.write(arr.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .fileio import atomic_write
+
 WIDTH = 640
 HEIGHT = 640
 PAD = 60.0
@@ -25,7 +27,8 @@ def _nice_step(span: float) -> float:
 def render_topdown(path, truth_xz: np.ndarray, pred_xz: np.ndarray, title: str) -> None:
     """Overlay ground-truth and predicted root paths in the ground plane.
 
-    Inputs are (T, 2) arrays of (x, z) world coordinates in meters.
+    Inputs are (T, 2) arrays of (x, z) world coordinates in meters. The
+    file at path is replaced atomically.
     """
     truth_xz = np.asarray(truth_xz, dtype=float)
     pred_xz = np.asarray(pred_xz, dtype=float)
@@ -86,5 +89,5 @@ def render_topdown(path, truth_xz: np.ndarray, pred_xz: np.ndarray, title: str) 
     parts.append(f'<text x="{WIDTH - PAD}" y="44" font-family="monospace" font-size="12" '
                  f'text-anchor="end" fill="#1f77b4">prediction</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(parts) + "\n")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from whamkit import dataset as ds, metrics
+from whamkit import dataset as ds, fileio, geom, metrics
 from whamkit.constants import CAMERA_BASE
 from whamkit.losses import LossWeights
 from whamkit.model import ModelDims, WhamModel, WhamParams
@@ -96,3 +96,87 @@ def read_metrics_csv(path) -> tuple[list[dict], dict]:
         else:
             parsed.append({"seq": int(row["seq"]), **values, "flags": row["flags"]})
     return parsed, aggregate
+
+
+def kabsch_reference(source, target, with_scale: bool = False):
+    """The per-point-set Kabsch/Umeyama alignment that geom.kabsch_align
+    batches: (rotation, translation, scale) of one (N, 3) pair."""
+    src = np.asarray(source, dtype=float).reshape(-1, 3)
+    tgt = np.asarray(target, dtype=float).reshape(-1, 3)
+    mu_s = src.mean(axis=0)
+    mu_t = tgt.mean(axis=0)
+    ps = src - mu_s
+    pt = tgt - mu_t
+    cov = ps.T @ pt
+    u, sig, vt = np.linalg.svd(cov)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    if d == 0.0:
+        d = 1.0
+    corr = np.array([1.0, 1.0, d])
+    rot = vt.T @ np.diag(corr) @ u.T
+    scale = 1.0
+    if with_scale:
+        var_s = float((ps * ps).sum())
+        if var_s > 1e-30:
+            scale = float((sig * corr).sum() / var_s)
+    t = mu_t - scale * rot @ mu_s
+    return rot, t, scale
+
+
+def needs_reflection_fix(src, tgt) -> bool:
+    """True when the best orthogonal map of centered src onto tgt is a reflection."""
+    u, _, vt = np.linalg.svd((src - src.mean(0)).T @ (tgt - tgt.mean(0)))
+    return np.linalg.det(vt.T @ u.T) < 0
+
+
+def kabsch_cases(rng, joints: int = 21):
+    """Named (source, target) frames covering the branches of the alignment."""
+    base = rng.normal(size=(joints, 3))
+    cases = {f"random{i}": (rng.normal(size=(joints, 3)), rng.normal(size=(joints, 3)))
+             for i in range(3)}
+    cases["similar"] = (base, 0.7 * base @ geom.exp_so3(rng.normal(size=3)).T + [1.0, 0, 2.0])
+    cases["reflected"] = (base, base * [1.0, 1.0, -1.0] + 0.01 * rng.normal(size=(joints, 3)))
+    cases["collinear"] = (np.outer(rng.normal(size=joints), [0.3, -1.0, 0.5]) + [2.0, 0, 0],
+                          rng.normal(size=(joints, 3)))
+    cases["all_equal"] = (np.tile([0.5, -0.2, 3.0], (joints, 1)), rng.normal(size=(joints, 3)))
+    cases["tiny_spread"] = (1e-4 * base, rng.normal(size=(joints, 3)))
+    assert needs_reflection_fix(*cases["reflected"])
+    return cases
+
+
+def pa_mpjpe_reference(pred, truth) -> float:
+    """PA-MPJPE (mm) with one kabsch_reference call per frame."""
+    errs = []
+    for p, q in zip(np.asarray(pred, dtype=float), np.asarray(truth, dtype=float)):
+        rot, t, s = kabsch_reference(p, q, with_scale=True)
+        aligned = s * (p @ rot.T) + t
+        errs.append(np.linalg.norm(aligned - q, axis=-1).mean())
+    return float(np.mean(errs) * metrics.MM)
+
+
+class FailingFile:
+    """A file whose writes fail once `limit` bytes (or characters) are
+    written, after writing as much of the failing chunk as fits."""
+
+    def __init__(self, fh, limit: int):
+        self.fh, self.limit, self.written = fh, limit, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        room = self.limit - self.written
+        if len(data) > room:
+            self.fh.write(data[:room])
+            raise OSError("No space left on device")
+        self.written += len(data)
+        return self.fh.write(data)
+
+
+def fail_atomic_writes(monkeypatch, limit: int = 100) -> None:
+    """Make every fileio.atomic_write file fail after `limit` bytes."""
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: FailingFile(open(*a, **k), limit),
+                        raising=False)

@@ -216,6 +216,25 @@ class TestEvalCommand:
         for name, value in aggregate.items():
             assert value < 1e-9, name
 
+    @pytest.mark.parametrize("frames, empty", [(2, {"accel_err", "jitter_err"}),
+                                               (3, {"jitter_err"})])
+    def test_oracle_on_short_sequences(self, tmp_path, frames, empty):
+        data, out = tmp_path / "short", tmp_path / "ev"
+        assert run_cli("synth", "--out", str(data), "--count", "6", "--seed", "5",
+                       "--set", "feature_dim=8", "--set", f"seq_len={frames}") == 0
+        assert run_cli("eval", "--dataset", str(data), "--split", "train",
+                       "--out", str(out), "--oracle") == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) > 1
+        for row in rows:
+            for name in ("accel_err", "jitter_err"):
+                assert (row[name] == "") == (name in empty), (row["seq"], name)
+            if row["seq"] != "aggregate":
+                flags = row["flags"].split(";")
+                assert ("accel_undefined" in flags) == ("accel_err" in empty)
+                assert "jitter_undefined" in flags
+
     def test_eval_writes_expected_files(self, trained):
         data, run = trained
         out = run / "eval"

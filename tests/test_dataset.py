@@ -9,6 +9,8 @@ from whamkit import body, dataset as ds, synth
 from whamkit.errors import InvalidInputError
 from whamkit.model import WhamOutput
 
+from tests.conftest import fail_atomic_writes
+
 
 @pytest.fixture(scope="module")
 def sample(tmp_path_factory):
@@ -103,6 +105,24 @@ class TestCodec:
             path = root / f"seq_{k}{suffix}"
             save(tmp_path / "copy", load(path))
             assert (tmp_path / "copy").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("suffix, load, save", [
+        (".ndjson", ds.load_motion, ds.save_motion),
+        (".cam.ndjson", ds.load_camera, ds.save_camera),
+        (".kp2d.ndjson", ds.load_keypoints, ds.save_keypoints)])
+    def test_failed_write_keeps_previous_file(self, sample, tmp_path, monkeypatch,
+                                              suffix, load, save):
+        root, _, _ = sample
+        out = tmp_path / "out"
+        out.mkdir()
+        save(out / "copy", load(root / f"seq_0{suffix}"))
+        before = (out / "copy").read_bytes()
+        replacement = load(root / f"seq_1{suffix}")
+        fail_atomic_writes(monkeypatch, limit=len(before) // 2)
+        with pytest.raises(OSError, match="No space"):
+            save(out / "copy", replacement)
+        assert (out / "copy").read_bytes() == before
+        assert os.listdir(out) == ["copy"]
 
     def test_output_table_covers_every_array_field(self):
         written = {name for _, name, _, _ in ds.OUTPUT_KEYS}

@@ -6,14 +6,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from whamkit import dataset as ds
+from whamkit import dataset as ds, evaluate
+from whamkit.body import world_landmarks
 from whamkit.evaluate import (INFER_BLOCK, AblationFlags, evaluate_split, infer_bundle,
                               infer_bundles, oracle_output, report_for)
 from whamkit.model import ModelDims, WhamModel, WhamOutput, WhamParams
 from whamkit.svg import render_topdown
 from whamkit.synth import SynthConfig
 
-from tests.conftest import TOY_DIMS, read_metrics_csv, toy_bundles
+from tests.conftest import TOY_DIMS, fail_atomic_writes, read_metrics_csv, toy_bundles
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,8 @@ def clean_data(tmp_path_factory):
 class TestOracleOutput:
     def test_scores_zero(self, clean_data):
         bundle = ds.load_split(clean_data, "test")[0]
-        report = report_for(oracle_output(bundle), bundle)
+        pred = oracle_output(bundle)
+        report = report_for(pred, bundle, world_landmarks(pred), world_landmarks(bundle.seq))
         for name, value in report.values().items():
             if not math.isnan(value):
                 assert value < 1e-9, name
@@ -51,6 +53,25 @@ class TestEvaluateSplit:
         rows, agg2 = read_metrics_csv(str(tmp_path / "o" / "metrics.csv"))
         assert len(rows) == len(ds.read_manifest(clean_data)["splits"]["train"])
         assert set(agg2) == set(aggregate)
+
+    def test_world_landmarks_built_once_per_sequence(self, clean_data, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "world_landmarks",
+                            lambda seq: calls.append(seq) or world_landmarks(seq))
+        evaluate_split(None, clean_data, "test", str(tmp_path / "o"), oracle=True)
+        assert len(calls) == 2 * len(ds.read_manifest(clean_data)["splits"]["test"])
+
+    def test_failed_csv_write_keeps_previous_file(self, clean_data, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        evaluate_split(None, clean_data, "test", str(out), oracle=True, write_svg=False)
+        before = (out / "metrics.csv").read_bytes()
+        # The train split has more rows, so its file is longer than this limit.
+        fail_atomic_writes(monkeypatch, limit=len(before))
+        with pytest.raises(OSError, match="No space"):
+            evaluate_split(None, clean_data, "train", str(out), oracle=True, write_svg=False)
+        assert (out / "metrics.csv").read_bytes() == before
+        assert os.listdir(out) == ["metrics.csv"]
 
     def test_svg_written_and_deterministic(self, clean_data, tmp_path, small_trained):
         model = small_trained["model"]
@@ -79,6 +100,18 @@ class TestSvgRenderer:
         assert text.count("<polyline") == 2
         assert "test path" in text
         assert "x (m)" in text and "z (m)" in text
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        t = np.linspace(0, 2 * np.pi, 50)
+        truth = np.stack([np.cos(t), np.sin(t)], axis=1)
+        path = tmp_path / "plot.svg"
+        render_topdown(path, truth, truth + 0.05, title="first")
+        before = path.read_bytes()
+        fail_atomic_writes(monkeypatch, limit=len(before) // 2)
+        with pytest.raises(OSError, match="No space"):
+            render_topdown(path, truth, truth - 0.05, title="second")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["plot.svg"]
 
     def test_degenerate_static_path(self, tmp_path):
         pts = np.zeros((10, 2))

@@ -5,7 +5,9 @@ from whamkit import geom, rotops
 from whamkit.autodiff import Tensor
 from whamkit.errors import BehindCameraError, InvalidInputError
 
-from tests.conftest import is_rotation
+from tests.conftest import is_rotation, kabsch_cases, kabsch_reference
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def quat_from_rotation(r):
@@ -178,6 +180,70 @@ class TestKabsch:
         tf2, _ = geom.kabsch_align(src, tgt)
         assert (tf1.rotation == tf2.rotation).all()
         assert is_rotation(tf1.rotation, tol=1e-9)
+
+
+class TestKabschBatched:
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_stack_matches_per_frame_reference(self, with_scale):
+        cases = kabsch_cases(np.random.default_rng(21))
+        src = np.stack([c[0] for c in cases.values()])
+        tgt = np.stack([c[1] for c in cases.values()])
+        tf, scale = geom.kabsch_align(src, tgt, with_scale=with_scale)
+        assert tf.rotation.shape == (len(cases), 3, 3)
+        assert tf.translation.shape == (len(cases), 3) and scale.shape == (len(cases),)
+        applied = tf.apply(src)
+        for k, name in enumerate(cases):
+            rot, t, s = kabsch_reference(src[k], tgt[k], with_scale=with_scale)
+            assert np.abs(tf.rotation[k] - rot).max() < 1e-12, name
+            assert np.abs(tf.translation[k] - t).max() < 1e-12, name
+            assert abs(scale[k] - s) < 1e-12, name
+            assert np.abs(applied[k] - (src[k] @ rot.T + t)).max() < 1e-12, name
+            assert is_rotation(tf.rotation[k], tol=1e-9), name
+        if with_scale:
+            assert scale[list(cases).index("all_equal")] == 1.0
+
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_single_point_stack(self, with_scale):
+        rng = np.random.default_rng(22)
+        src, tgt = rng.normal(size=(5, 1, 3)), rng.normal(size=(5, 1, 3))
+        tf, scale = geom.kabsch_align(src, tgt, with_scale=with_scale)
+        for k in range(5):
+            rot, t, s = kabsch_reference(src[k], tgt[k], with_scale=with_scale)
+            assert np.abs(tf.rotation[k] - rot).max() < 1e-12
+            assert np.abs(tf.translation[k] - t).max() < 1e-12
+            assert scale[k] == s == 1.0
+        assert np.abs(tf.apply(src) - tgt).max() < 1e-12
+
+    def test_leading_axes_are_independent(self):
+        cases = kabsch_cases(np.random.default_rng(23))
+        src = np.stack([c[0] for c in cases.values()])[:6]
+        tgt = np.stack([c[1] for c in cases.values()])[:6]
+        flat, flat_scale = geom.kabsch_align(src, tgt, with_scale=True)
+        grid, grid_scale = geom.kabsch_align(src.reshape(2, 3, -1, 3), tgt.reshape(2, 3, -1, 3),
+                                             with_scale=True)
+        assert np.abs(grid.rotation.reshape(6, 3, 3) - flat.rotation).max() < 1e-12
+        assert np.abs(grid.translation.reshape(6, 3) - flat.translation).max() < 1e-12
+        assert np.abs(grid_scale.reshape(6) - flat_scale).max() < 1e-12
+
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_single_set_is_bit_identical_to_reference(self, with_scale):
+        rng = np.random.default_rng(24)
+        cases = kabsch_cases(rng)
+        cases["one_point"] = (rng.normal(size=(1, 3)), rng.normal(size=(1, 3)))
+        cases["two_points"] = (np.array([[0.0, 0, 0], [1.0, 0, 0]]),
+                               np.array([[0.0, 0, 0], [0.0, 1.0, 0]]))
+        for name, (src, tgt) in cases.items():
+            tf, scale = geom.kabsch_align(src, tgt, with_scale=with_scale)
+            rot, t, s = kabsch_reference(src, tgt, with_scale=with_scale)
+            assert tf.rotation.tobytes() == rot.tobytes(), name
+            assert tf.translation.tobytes() == t.tobytes(), name
+            assert isinstance(scale, float) and scale == s, name
+            assert tf.apply(src).tobytes() == (src @ rot.T + t).tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 0, 3)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(InvalidInputError):
+            geom.kabsch_align(np.zeros(shape), np.zeros(shape))
 
 
 class TestProject:

@@ -6,6 +6,10 @@ import pytest
 from whamkit import body, geom, metrics
 from whamkit.errors import InvalidInputError, UndefinedMetricError
 
+from tests.conftest import kabsch_cases, pa_mpjpe_reference
+
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def random_pose_pair(rng, frames=4, joints=21, noise=0.05):
     truth = rng.normal(size=(frames, joints, 3))
@@ -72,6 +76,16 @@ class TestPaMpjpe:
         assert got <= best * 1.01
 
 
+    def test_mixed_stack_matches_per_frame_reference(self):
+        rng = np.random.default_rng(25)
+        cases = kabsch_cases(rng)
+        pred = np.stack([c[0] for c in cases.values()])
+        truth = np.stack([c[1] for c in cases.values()])
+        pred, truth = pred[rng.permutation(len(pred))], truth[rng.permutation(len(truth))]
+        want = pa_mpjpe_reference(pred, truth)
+        assert metrics.pa_mpjpe(pred, truth) == pytest.approx(want, rel=1e-12)
+
+
 class TestAccelError:
     def test_zero_on_equal(self):
         rng = np.random.default_rng(6)
@@ -90,7 +104,7 @@ class TestAccelError:
         assert metrics.accel_error(truth + drift, truth, 30.0) < 1e-9
 
     def test_needs_three_frames(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(UndefinedMetricError):
             metrics.accel_error(np.zeros((2, 21, 3)), np.zeros((2, 21, 3)), 30.0)
 
 
@@ -114,7 +128,7 @@ class TestJitter:
         assert abs(got - want) / want < 0.05
 
     def test_needs_four_frames(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(UndefinedMetricError):
             metrics.jitter(np.zeros((3, 1, 3)), 30.0)
 
 
@@ -267,3 +281,16 @@ class TestMetricReportAssembly:
                                      pred_rot0=seq.root_rot[0], truth_rot0=seq.root_rot[0])
         assert math.isnan(rep.rte) and "rte_undefined" in rep.flags
         assert math.isnan(rep.fs) and "fs_undefined" in rep.flags
+
+    @pytest.mark.parametrize("frames, undefined", [(2, {"accel_err", "jitter_err"}),
+                                                   (3, {"jitter_err"})])
+    def test_short_sequence_nan_flags(self, frames, undefined):
+        seq = body.generate_gait("walk", frames, seed=2)
+        world = body.world_landmarks(seq)
+        rep = metrics.compute_report(seq.local_pose, seq.local_pose, world, world,
+                                     seq.contacts, seq.fps)
+        assert {n for n, v in rep.values().items() if math.isnan(v)} >= undefined
+        assert math.isnan(rep.accel_err) == ("accel_undefined" in rep.flags)
+        assert math.isnan(rep.jitter_err) == ("jitter_undefined" in rep.flags)
+        for name in {"accel_err", "jitter_err"} - undefined:
+            assert rep.values()[name] < 1e-9

@@ -7,6 +7,8 @@ from whamkit import optim
 from whamkit.errors import CheckpointError, InvalidInputError
 from whamkit.optim import ADAM_BLOCK, AdamState, adam_step, load_checkpoint, save_checkpoint
 
+from tests.conftest import fail_atomic_writes
+
 
 class TestAdam:
     def test_first_step_is_signlike(self):
@@ -128,26 +130,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"hidden": 4}, np.arange(64.0), meta={"epoch": 1})
         before = path.read_bytes()
-
-        class FailingFile:
-            """A file whose writes fail once 100 bytes are written."""
-
-            def __init__(self, fh):
-                self.fh, self.written = fh, 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                if self.written + len(data) > 100:
-                    raise OSError("No space left on device")
-                self.written += len(data)
-                return self.fh.write(data)
-
-        monkeypatch.setattr(optim, "open", lambda *a: FailingFile(open(*a)), raising=False)
+        fail_atomic_writes(monkeypatch)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(path, {"hidden": 4}, np.ones(64), meta={"epoch": 2})
         assert path.read_bytes() == before
