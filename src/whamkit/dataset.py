@@ -6,13 +6,25 @@ Layout of a dataset directory:
     seq_<k>.kp2d.ndjson   normalized 2D keypoints with visibility and box
     seq_<k>.feat.bin      per-frame visual features, little-endian f32 rows
     manifest.json         config, seed, counts, train/val/test split
+    .whamcache/<file>.bin the parsed arrays of each NDJSON file read so far
 
 All writers emit deterministic bytes for a given (config, seed).
+
+Reading an NDJSON file parses it once. The header values and arrays are
+then cached in .whamcache/ next to it, and later reads of the same bytes
+take them from there without parsing a float. An entry is checked against
+the sha256 of the file's bytes and the format's key table on every read,
+so an edited file, a changed format or a damaged entry is re-parsed, never
+trusted. Entries are written best-effort (a read-only directory or a full
+disk just means no cache), and the directory is safe to delete. The first
+read of a file costs more than a plain parse: it also writes the entry.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -73,18 +85,19 @@ def _write(path, header: dict, obj, keys) -> None:
             fh.write(_dump({"t": t, **{key: rows[t] for key, rows in columns}}) + "\n")
 
 
-def _read(path, header_keys: tuple, keys) -> tuple[dict, dict]:
-    """({header key: value}, {field: array of shape (frames,) + shape}) of a
-    file written by _write. A malformed line, a missing key, a header value
-    of the wrong type (skeleton_version is a string, every other header key
-    a number) or a frame value of the wrong length raises InvalidInputError
-    naming the file and the key."""
-    with open(path) as fh:
-        try:
-            header = json.loads(fh.readline())
-            frames = [json.loads(line) for line in fh if line.strip()]
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: malformed NDJSON line: {exc}") from exc
+def _parse(path, data: bytes, header_keys: tuple, keys) -> tuple[dict, dict]:
+    """({header key: value}, {field: array of shape (frames,) + shape}) of
+    the bytes of a file written by _write. A malformed line, no frame line,
+    a missing key, a header value of the wrong type (skeleton_version is a
+    string, every other header key a number) or a frame value of the wrong
+    length or out of its type's range raises InvalidInputError naming the
+    file and the key."""
+    try:
+        fh = io.StringIO(data.decode("utf-8"), newline=None)
+        header = json.loads(fh.readline())
+        frames = [json.loads(line) for line in fh if line.strip()]
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: malformed NDJSON line: {exc}") from exc
     if not isinstance(header, dict) or not header.keys() >= set(header_keys):
         raise InvalidInputError(f"{path}: the header needs the keys {header_keys}")
     for key in header_keys:
@@ -92,6 +105,8 @@ def _read(path, header_keys: tuple, keys) -> tuple[dict, dict]:
         if not isinstance(header[key], kind) or isinstance(header[key], bool):
             raise InvalidInputError(f"{path}: header key {key!r} must be a "
                                     + ("string" if kind is str else "number"))
+    if not frames:
+        raise InvalidInputError(f"{path}: no frame lines after the header")
     fields = {}
     for key, name, shape, kind in keys:
         try:
@@ -100,9 +115,86 @@ def _read(path, header_keys: tuple, keys) -> tuple[dict, dict]:
             raise InvalidInputError(f"{path}: a frame has no key {key!r}") from exc
         try:
             fields[name] = np.array(rows, dtype=kind).reshape((len(rows),) + shape)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"{path}: a {key!r} value has the wrong length") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"{path}: a {key!r} value has the wrong length "
+                                    "or is out of range") from exc
     return {key: header[key] for key in header_keys}, fields
+
+
+# The cache entry of <dir>/<name> is <dir>/.whamcache/<name>.bin: a line with
+# the hex sha256 of the key and everything after that line, then a JSON line
+# {header, fields: [[field, dtype, shape], ...]}, then the fields' bytes,
+# little-endian, in that order. The key hashes CACHE_VERSION, the format's
+# header keys and key table, and the NDJSON file's bytes. Bump CACHE_VERSION
+# when this layout or _parse's result changes.
+CACHE_DIR = ".whamcache"
+CACHE_VERSION = 1
+
+
+def _cache_path(path) -> str:
+    return os.path.join(os.path.dirname(path), CACHE_DIR, os.path.basename(path) + ".bin")
+
+
+@functools.lru_cache
+def _signature(header_keys: tuple, keys) -> bytes:
+    return _dump([CACHE_VERSION, header_keys, [[key, name, shape, np.dtype(kind).str]
+                                               for key, name, shape, kind in keys]]).encode()
+
+
+def _load_cache(path, key) -> tuple[dict, dict] | None:
+    """The header values and fields cached for key, or None on a miss."""
+    try:
+        with open(_cache_path(path), "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    digest = key.copy()
+    digest.update(memoryview(blob)[65:])
+    if blob[:65] != digest.hexdigest().encode() + b"\n":
+        return None
+    offset = blob.index(b"\n", 65) + 1
+    meta = json.loads(blob[65:offset])
+    fields = {}
+    for name, dtype, shape in meta["fields"]:
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        fields[name] = np.frombuffer(blob, dtype, count, offset).astype(
+            dtype.newbyteorder("=")).reshape(shape)
+        offset += count * dtype.itemsize
+    return meta["header"], fields
+
+
+def _save_cache(path, key, header: dict, fields: dict) -> None:
+    """Write the cache entry of path for key; best effort, a failed write
+    leaves no entry."""
+    arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in fields.values()]
+    meta = {"header": header,
+            "fields": [[name, a.dtype.str, list(a.shape)] for name, a in zip(fields, arrays)]}
+    body = b"".join([_dump(meta).encode(), b"\n"] + [a.tobytes() for a in arrays])
+    digest = key.copy()
+    digest.update(body)
+    try:
+        os.makedirs(os.path.dirname(_cache_path(path)), exist_ok=True)
+        with atomic_write(_cache_path(path), "wb") as fh:
+            fh.write(digest.hexdigest().encode() + b"\n" + body)
+    except OSError:
+        pass
+
+
+def _read(path, header_keys: tuple, keys) -> tuple[dict, dict]:
+    """_parse of the file at path, from its cache entry when the entry was
+    made from the same bytes and key table. A miss parses the file and
+    rewrites the entry."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = hashlib.sha256(_signature(header_keys, keys))
+    key.update(data)
+    cached = _load_cache(path, key)
+    if cached is not None:
+        return cached
+    header, fields = _parse(path, data, header_keys, keys)
+    _save_cache(path, key, header, fields)
+    return header, fields
 
 
 # -- motion sequences ---------------------------------------------------------

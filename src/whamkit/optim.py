@@ -100,9 +100,9 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
 def save_checkpoint(path, dims: dict, params_vec: np.ndarray,
                     meta: dict | None = None,
                     extra_sections: dict[str, np.ndarray] | None = None) -> None:
-    """Write a checkpoint atomically: the bytes go to path + ".tmp", which
-    then replaces path, so a write that fails partway leaves any previous
-    checkpoint at path intact and no temporary file behind."""
+    """Write a checkpoint atomically (fileio.atomic_write): a write that
+    fails partway leaves any previous checkpoint at path intact and no
+    temporary file behind."""
     sections = [("params", np.asarray(params_vec, dtype=np.float64))]
     for name, arr in (extra_sections or {}).items():
         sections.append((name, np.asarray(arr, dtype=np.float64)))

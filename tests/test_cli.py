@@ -122,6 +122,12 @@ class TestSynthCommand:
         assert config["gait_kinds"] == ["stand", "walk"]
         assert config["gait_weights"] == [1.0, 0.0]
 
+    def test_self_validation_warms_the_cache(self, workspace):
+        _, data = workspace
+        ndjson = sorted(n for n in os.listdir(data) if n.endswith(".ndjson"))
+        assert len(ndjson) == 3 * 8
+        assert sorted(os.listdir(data / ds.CACHE_DIR)) == [n + ".bin" for n in ndjson]
+
     def test_files_parse_back(self, workspace):
         _, data = workspace
         manifest = ds.read_manifest(data)
@@ -315,6 +321,19 @@ class TestEvalCommand:
                        str(tmp_path / "ev"), "--no-svg") == 2
         err = capsys.readouterr().err
         assert str(path) in err and repr(key) in err
+
+    @pytest.mark.parametrize("suffix", [".ndjson", ".cam.ndjson", ".kp2d.ndjson"])
+    def test_header_only_file_is_usage_error(self, workspace, tmp_path, capsys, suffix):
+        _, data = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        k = ds.read_manifest(copy)["splits"]["test"][0]
+        path = copy / f"seq_{k}{suffix}"
+        path.write_text(path.read_text().split("\n")[0] + "\n")
+        assert run_cli("eval", "--oracle", "--dataset", str(copy), "--out",
+                       str(tmp_path / "ev"), "--no-svg") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "no frame lines" in err
 
     @pytest.mark.parametrize("text", ["{", "[]", "{}", '{"splits": {"test": []}}'])
     def test_malformed_manifest_is_usage_error(self, workspace, tmp_path, capsys, text):

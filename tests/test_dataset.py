@@ -1,9 +1,12 @@
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from whamkit import body, dataset as ds, synth
 from whamkit.errors import InvalidInputError
@@ -11,6 +14,11 @@ from whamkit.model import WhamOutput
 
 from tests.conftest import fail_atomic_writes
 
+pytestmark = pytest.mark.filterwarnings("error")
+
+FORMATS = {".ndjson": (("fps", "skeleton_version"), ds.MOTION_KEYS),
+           ".cam.ndjson": (("f", "w", "h", "cx", "cy"), ds.CAMERA_KEYS),
+           ".kp2d.ndjson": (("w", "h"), ds.KEYPOINT_KEYS)}
 
 @pytest.fixture(scope="module")
 def sample(tmp_path_factory):
@@ -124,6 +132,26 @@ class TestCodec:
         assert (out / "copy").read_bytes() == before
         assert os.listdir(out) == ["copy"]
 
+    @pytest.mark.parametrize("suffix", FORMATS)
+    def test_header_only_file_is_rejected(self, sample, tmp_path, suffix):
+        root, _, _ = sample
+        path = tmp_path / f"seq_0{suffix}"
+        path.write_text((root / f"seq_0{suffix}").read_text().split("\n")[0] + "\n")
+        with pytest.raises(InvalidInputError, match="no frame lines"):
+            ds._read(path, *FORMATS[suffix])
+
+    @pytest.mark.parametrize("value", [256, -1])
+    def test_mask_value_out_of_range_is_rejected(self, sample, tmp_path, value):
+        root, _, _ = sample
+        lines = (root / "seq_0.kp2d.ndjson").read_text().split("\n")
+        frame = json.loads(lines[1])
+        frame["mask"][0] = value
+        lines[1] = json.dumps(frame)
+        path = tmp_path / "seq_0.kp2d.ndjson"
+        path.write_text("\n".join(lines))
+        with pytest.raises(InvalidInputError, match="'mask' value .* out of range"):
+            ds.load_keypoints(path)
+
     def test_output_table_covers_every_array_field(self):
         written = {name for _, name, _, _ in ds.OUTPUT_KEYS}
         arrays = {f.name for f in fields(WhamOutput)} - {"fps"}
@@ -215,3 +243,242 @@ class TestOutputFormat:
         for key in ("t", "gamma", "tau", "local", "contact", "gamma0", "v0",
                     "v_adj", "v", "gamma_cam", "cam_pos", "beta"):
             assert key in frame
+
+
+def _copy(sample, tmp_path, suffix):
+    """seq_0 of the sample in the given format, copied to tmp_path with no
+    cache entry."""
+    path = tmp_path / f"seq_0{suffix}"
+    shutil.copyfile(sample[0] / path.name, path)
+    return path
+
+
+def _entry(path):
+    return path.parent / ds.CACHE_DIR / (path.name + ".bin")
+
+
+def assert_same_read(got, expected):
+    """Two _read results are bit-identical, dtypes and value types included."""
+    (got_header, got_fields), (header, fields) = got, expected
+    assert got_header == header
+    assert {k: type(v) for k, v in got_header.items()} == {k: type(v) for k, v in header.items()}
+    assert list(got_fields) == list(fields)
+    for name, array in fields.items():
+        assert got_fields[name].dtype == array.dtype and got_fields[name].shape == array.shape
+        assert got_fields[name].tobytes() == array.tobytes(), name
+        assert got_fields[name].flags.writeable
+
+
+@pytest.fixture
+def loads_calls(monkeypatch):
+    """The number of json.loads calls, counted in a one-element list."""
+    calls = [0]
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return calls
+
+
+class TestCache:
+    @pytest.mark.parametrize("suffix", FORMATS)
+    def test_warm_read_equals_parse(self, sample, tmp_path, suffix):
+        path = _copy(sample, tmp_path, suffix)
+        parsed = ds._parse(path, path.read_bytes(), *FORMATS[suffix])
+        assert_same_read(ds._read(path, *FORMATS[suffix]), parsed)
+        assert _entry(path).is_file()
+        assert_same_read(ds._read(path, *FORMATS[suffix]), parsed)
+
+    @pytest.mark.parametrize("suffix", FORMATS)
+    def test_warm_read_parses_only_the_cache_header(self, sample, tmp_path, loads_calls,
+                                                    suffix):
+        path = _copy(sample, tmp_path, suffix)
+        ds._read(path, *FORMATS[suffix])
+        assert loads_calls[0] == 1 + 12
+        loads_calls[0] = 0
+        ds._read(path, *FORMATS[suffix])
+        assert loads_calls[0] == 1
+
+    def test_edited_file_is_reparsed_and_its_entry_rewritten(self, sample, tmp_path,
+                                                             loads_calls):
+        path = _copy(sample, tmp_path, ".ndjson")
+        ds.load_motion(path)
+        before = _entry(path).read_bytes()
+        lines = path.read_text().split("\n")
+        old = json.loads(lines[1])["tau"][0]
+        lines[1] = lines[1].replace(f'"tau":[{old!r}', '"tau":[12.5', 1)
+        path.write_text("\n".join(lines))
+        loads_calls[0] = 0
+        assert ds.load_motion(path).root_pos[0, 0] == 12.5
+        assert loads_calls[0] == 1 + 12
+        assert _entry(path).read_bytes() != before
+        loads_calls[0] = 0
+        assert ds.load_motion(path).root_pos[0, 0] == 12.5
+        assert loads_calls[0] == 1
+
+    def test_changed_format_signature_is_a_miss(self, sample, tmp_path, loads_calls):
+        path = _copy(sample, tmp_path, ".ndjson")
+        header_keys, keys = FORMATS[".ndjson"]
+        ds._read(path, header_keys, keys)
+        renamed = tuple((key, "translation" if name == "root_pos" else name, shape, kind)
+                        for key, name, shape, kind in keys)
+        loads_calls[0] = 0
+        _, fields = ds._read(path, header_keys, renamed)
+        assert "translation" in fields and loads_calls[0] == 1 + 12
+        loads_calls[0] = 0
+        header, _ = ds._read(path, ("fps",), renamed)
+        assert list(header) == ["fps"] and loads_calls[0] == 1 + 12
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "flipped payload byte",
+                                        "edited header value", "wrong digest"])
+    def test_damaged_entry_is_a_miss(self, sample, tmp_path, damage):
+        path = _copy(sample, tmp_path, ".ndjson")
+        parsed = ds._parse(path, path.read_bytes(), *FORMATS[".ndjson"])
+        ds._read(path, *FORMATS[".ndjson"])
+        good = _entry(path).read_bytes()
+        bad = bytearray(good)
+        if damage == "truncated":
+            bad = good[:len(good) // 2]
+        elif damage == "flipped payload byte":
+            bad[-100] ^= 0x10
+        elif damage == "edited header value":
+            bad = good.replace(b'"fps":30.0', b'"fps":31.0', 1)
+        elif damage == "wrong digest":
+            bad[:64] = b"0" * 64
+        else:
+            bad = b""
+        assert bytes(bad) != good
+        _entry(path).write_bytes(bad)
+        assert_same_read(ds._read(path, *FORMATS[".ndjson"]), parsed)
+        assert _entry(path).read_bytes() == good
+
+    def test_failed_cache_write_still_returns_the_data(self, sample, tmp_path, monkeypatch):
+        path = _copy(sample, tmp_path, ".cam.ndjson")
+        parsed = ds._parse(path, path.read_bytes(), *FORMATS[".cam.ndjson"])
+        fail_atomic_writes(monkeypatch)
+        assert_same_read(ds._read(path, *FORMATS[".cam.ndjson"]), parsed)
+        assert os.listdir(tmp_path / ds.CACHE_DIR) == []
+
+    def test_unusable_cache_directory_still_returns_the_data(self, sample, tmp_path):
+        path = _copy(sample, tmp_path, ".kp2d.ndjson")
+        parsed = ds._parse(path, path.read_bytes(), *FORMATS[".kp2d.ndjson"])
+        (tmp_path / ds.CACHE_DIR).write_text("a file where the directory would go")
+        assert_same_read(ds._read(path, *FORMATS[".kp2d.ndjson"]), parsed)
+
+    def test_skeleton_version_is_checked_on_warm_reads(self, sample, tmp_path):
+        path = _copy(sample, tmp_path, ".ndjson")
+        text = path.read_text()
+        path.write_text(text.replace(body.SKELETON_VERSION, "other-skeleton", 1))
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="skeleton version"):
+                ds.load_motion(path)
+        assert _entry(path).is_file()
+
+    def test_entries_are_byte_identical_across_runs(self, tmp_path):
+        cfg = synth.SynthConfig(seq_len=8, feature_dim=8)
+        for run in ("a", "b"):
+            ds.synthesize_dataset(tmp_path / run, cfg, seed=11, count=3)
+            for split in ("train", "val", "test"):
+                ds.load_split(tmp_path / run, split)
+        names = sorted(os.listdir(tmp_path / "a" / ds.CACHE_DIR))
+        assert len(names) == 9
+        assert names == sorted(os.listdir(tmp_path / "b" / ds.CACHE_DIR))
+        for name in names:
+            a = (tmp_path / "a" / ds.CACHE_DIR / name).read_bytes()
+            assert a == (tmp_path / "b" / ds.CACHE_DIR / name).read_bytes(), name
+
+
+# -- fuzzing: truncations and byte flips of the files and their entries ---------
+
+FUZZ_FRAMES = 12
+DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                                   st.integers(1, 255)),
+                                        min_size=1, max_size=3)))
+FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _damaged(blob: bytes, damage) -> bytes:
+    kind, arg = damage
+    if kind == "truncate":
+        return blob[:arg % (len(blob) + 1)]
+    out = bytearray(blob)
+    for position, mask in arg:
+        out[position % len(out)] ^= mask
+    return bytes(out)
+
+
+def _bundle_arrays(bundle) -> dict:
+    return {"local_pose": bundle.seq.local_pose, "root_rot": bundle.seq.root_rot,
+            "root_pos": bundle.seq.root_pos, "contacts": bundle.seq.contacts,
+            "bone_scales": bundle.seq.bone_scales, "rotations": bundle.cams.rotations,
+            "translations": bundle.cams.translations, "omega": bundle.cams.omega,
+            "keypoints": bundle.kps.keypoints, "mask": bundle.kps.mask,
+            "center": bundle.kps.center, "scale": bundle.kps.scale,
+            "carried": bundle.kps.carried, "features": bundle.features,
+            "enc_input": bundle.enc_input, "kp_px": bundle.kp_px,
+            "root_vel": bundle.root_vel}
+
+
+def _documented_shapes(t: int) -> dict:
+    return {"local_pose": (t, 21, 3), "root_rot": (t, 3, 3), "root_pos": (t, 3),
+            "contacts": (t, 4), "bone_scales": (20,), "rotations": (t, 3, 3),
+            "translations": (t, 3), "omega": (t, 3), "keypoints": (t, 17, 2),
+            "mask": (t, 17), "center": (t, 2), "scale": (t,), "carried": (t,),
+            "features": (t, 8), "enc_input": (t, 54), "kp_px": (t, 17, 2),
+            "root_vel": (t, 3)}
+
+
+class TestReaderFuzz:
+    """load_bundle on a sequence with one damaged file either returns the
+    documented shapes or raises InvalidInputError; a damaged cache entry is
+    never trusted and never raises."""
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz") / "d"
+        ds.synthesize_dataset(root, synth.SynthConfig(seq_len=FUZZ_FRAMES, feature_dim=8),
+                              seed=4, count=1)
+        return root, _bundle_arrays(ds.load_bundle(root, 0, 8))
+
+    @staticmethod
+    def _load_damaged(root, name: str, damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = os.path.join(tmp, "d")
+            shutil.copytree(root, copy)
+            path = os.path.join(copy, name)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(_damaged(blob, damage))
+            return ds.load_bundle(copy, 0, 8)
+
+    def test_pristine_shapes_are_the_documented_ones(self, pristine):
+        _, arrays = pristine
+        assert {k: a.shape for k, a in arrays.items()} == _documented_shapes(FUZZ_FRAMES)
+
+    @FUZZ
+    @given(suffix=st.sampled_from(sorted(FORMATS)), damage=DAMAGE)
+    def test_damaged_file_loads_or_is_rejected(self, pristine, suffix, damage):
+        root, _ = pristine
+        try:
+            bundle = self._load_damaged(root, f"seq_0{suffix}", damage)
+        except InvalidInputError:
+            return
+        arrays = _bundle_arrays(bundle)
+        assert ({k: a.shape for k, a in arrays.items()}
+                == _documented_shapes(bundle.num_frames))
+
+    @FUZZ
+    @given(suffix=st.sampled_from(sorted(FORMATS)), damage=DAMAGE)
+    def test_damaged_entry_is_never_trusted(self, pristine, suffix, damage):
+        root, expected = pristine
+        bundle = self._load_damaged(root, os.path.join(ds.CACHE_DIR, f"seq_0{suffix}.bin"),
+                                    damage)
+        for name, array in _bundle_arrays(bundle).items():
+            assert array.tobytes() == expected[name].tobytes(), name
