@@ -10,6 +10,9 @@ path and the whole foot triangle (ankle, heel, toe) is held rigidly fixed in
 world coordinates for the duration of each stance, so stance-foot velocity is
 exactly zero by construction. Knees are solved with two-bone analytic IK, so
 bone lengths match the scaled rest lengths to float precision on every frame.
+The generator has no per-frame loop: the root path, arm swing, foot plan
+(each frame's plant index by `floor`, stance or swing by `where`) and IK are
+computed over whole (T, ...) arrays.
 """
 
 from __future__ import annotations
@@ -166,97 +169,27 @@ def _smoothstep(u: np.ndarray | float):
     return u * u * (3.0 - 2.0 * u)
 
 
-def _two_bone_ik(hip: np.ndarray, ankle: np.ndarray, l1: float, l2: float,
-                 bend_dir: np.ndarray) -> np.ndarray:
-    """Knee position for given hip/ankle and segment lengths, bending toward
-    bend_dir (projected perpendicular to the hip-ankle axis)."""
+def _two_bone_ik(hip: np.ndarray, ankle: np.ndarray, l1: np.ndarray,
+                 l2: np.ndarray) -> np.ndarray:
+    """Knee positions (..., 3) for hip and ankle positions (..., 3) and
+    segment lengths l1, l2 broadcast over the leading axes, bending toward
+    +x projected perpendicular to the hip-ankle axis (toward +y where that
+    axis is x). The first unreachable target in row-major order raises
+    SynthesisError."""
     d = ankle - hip
-    dist = float(np.linalg.norm(d))
-    if dist >= l1 + l2 - 1e-9 or dist <= abs(l1 - l2) + 1e-9:
-        raise SynthesisError(
-            f"leg target unreachable: |hip-ankle|={dist:.4f}, segments {l1:.4f}+{l2:.4f}")
-    dhat = d / dist
+    dist, l1, l2 = np.broadcast_arrays(np.linalg.norm(d, axis=-1), l1, l2)
+    bad = (dist >= l1 + l2 - 1e-9) | (dist <= np.abs(l1 - l2) + 1e-9)
+    if bad.any():
+        i = np.argmax(bad)
+        raise SynthesisError(f"leg target unreachable: |hip-ankle|={dist.flat[i]:.4f}, "
+                             f"segments {l1.flat[i]:.4f}+{l2.flat[i]:.4f}")
+    dhat = d / dist[..., None]
     a = (l1 * l1 - l2 * l2 + dist * dist) / (2.0 * dist)
-    r = math.sqrt(max(l1 * l1 - a * a, 0.0))
-    w = bend_dir - (bend_dir @ dhat) * dhat
-    wn = np.linalg.norm(w)
-    if wn < 1e-9:
-        w = np.array([0.0, 1.0, 0.0]) - dhat[1] * dhat
-        wn = np.linalg.norm(w)
-    return hip + a * dhat + (r / wn) * w
-
-
-class _FootPlan:
-    """Per-foot stance/swing schedule with world-space plant poses."""
-
-    def __init__(self, lateral_sign, phase_offset, cycle, stance_len, path, lateral):
-        self.sign = lateral_sign
-        self.offset = phase_offset
-        self.cycle = cycle
-        self.stance_len = stance_len
-        self.path = path
-        self.lateral = lateral
-
-    def plant(self, k: int):
-        """World anchor position and yaw of plant k (mid-stance root pose)."""
-        t_mid = k * self.cycle + self.offset + 0.5 * self.stance_len
-        base, yaw = self.path.ground_pose(t_mid)
-        n = np.array([math.sin(yaw), 0.0, math.cos(yaw)])
-        pos = base + self.sign * self.lateral * n
-        pos[1] = self.path.ground_level(t_mid)
-        return pos, yaw
-
-    def anchor(self, t: int):
-        """(position, yaw, in_stance) of the foot anchor at frame t."""
-        k = math.floor((t - self.offset) / self.cycle)
-        phase = (t - self.offset) - k * self.cycle
-        p0, y0 = self.plant(k)
-        if phase < self.stance_len:
-            return p0, y0, True
-        p1, y1 = self.plant(k + 1)
-        u = (phase - self.stance_len) / (self.cycle - self.stance_len)
-        us = _smoothstep(u)
-        pos = p0 + (p1 - p0) * us
-        pos = pos + np.array([0.0, SWING_CLEARANCE * math.sin(math.pi * u), 0.0])
-        return pos, y0 + (y1 - y0) * us, False
-
-
-class _RootPath:
-    """Analytic root path: straight line, circular arc, or stair ramp."""
-
-    def __init__(self, kind, speed, fps, step_len):
-        self.kind = kind
-        self.speed = speed
-        self.fps = fps
-        self.step_len = step_len
-        self.turn_rate = TURN_RATE if kind == "turn" else 0.0
-
-    def ground_pose(self, t: float):
-        """Ground-plane position (y = 0) and heading at fractional frame t."""
-        sec = t / self.fps
-        if self.kind == "stand":
-            return np.zeros(3), 0.0
-        if self.kind == "turn":
-            w = self.turn_rate
-            x = self.speed / w * math.sin(w * sec)
-            z = self.speed / w * (math.cos(w * sec) - 1.0)
-            return np.array([x, 0.0, z]), w * sec
-        return np.array([self.speed * sec, 0.0, 0.0]), 0.0
-
-    def arc(self, t: float) -> float:
-        return 0.0 if self.kind == "stand" else self.speed * t / self.fps
-
-    def ground_level(self, t: float) -> float:
-        """Ground height under the walker (stair treads for the stairs gait)."""
-        if self.kind != "stairs":
-            return 0.0
-        return STAIR_RISE * math.floor(self.arc(t) / self.step_len + 1e-9)
-
-    def root_level(self, t: float) -> float:
-        """Smoothed, monotone ground reference for the pelvis height."""
-        if self.kind != "stairs":
-            return 0.0
-        return STAIR_RISE * self.arc(t) / self.step_len
+    r = np.sqrt(np.maximum(l1 * l1 - a * a, 0.0))
+    w = np.array([1.0, 0.0, 0.0]) - dhat[..., :1] * dhat
+    w_up = np.array([0.0, 1.0, 0.0]) - dhat[..., 1:2] * dhat
+    w = np.where(np.linalg.norm(w, axis=-1, keepdims=True) < 1e-9, w_up, w)
+    return hip + a[..., None] * dhat + (r / np.linalg.norm(w, axis=-1))[..., None] * w
 
 
 def generate_gait(kind: str, num_frames: int, fps: float = 30.0, seed: int = 0,
@@ -277,17 +210,18 @@ def generate_gait(kind: str, num_frames: int, fps: float = 30.0, seed: int = 0,
         raise InvalidInputError("bone_scales must be 20 positive values")
 
     s_of = lambda p, c: scales[BONE_INDEX[(p, c)]]
-    thigh = {"l": 0.42 * s_of("left_hip", "left_knee"), "r": 0.42 * s_of("right_hip", "right_knee")}
-    shin = {"l": 0.43 * s_of("left_knee", "left_ankle"), "r": 0.43 * s_of("right_knee", "right_ankle")}
-    leg = {f: thigh[f] + shin[f] for f in "lr"}
-    leg_min = min(leg.values())
+    # Per-leg values, columns left and right.
+    s_leg = lambda p, c: np.array([s_of(f"{side}_{p}", f"{side}_{c}") for side in ("left", "right")])
+    thigh, shin = 0.42 * s_leg("hip", "knee"), 0.43 * s_leg("knee", "ankle")
+    heel_scale, toe_scale = s_leg("ankle", "heel"), s_leg("ankle", "toe")
+    ankle_h = 0.08 * heel_scale
+    leg_min = (thigh + shin).min()
     hip_half = 0.10 * s_of("left_hip", "right_hip")
-    heel_scale = {"l": s_of("left_ankle", "left_heel"), "r": s_of("right_ankle", "right_heel")}
-    toe_scale = {"l": s_of("left_ankle", "left_toe"), "r": s_of("right_ankle", "right_toe")}
-    ankle_h = {f: 0.08 * heel_scale[f] for f in "lr"}
 
     step_len = max(STEP_LENGTH * leg_min / 0.85, 0.2)
-    speed = step_len * CADENCE  # m/s
+    speed = 0.0 if kind == "stand" else step_len * CADENCE  # m/s
+    turn_rate = TURN_RATE if kind == "turn" else 0.0
+    rise = STAIR_RISE if kind == "stairs" else 0.0
     cycle = 2.0 * fps / CADENCE  # frames per foot cycle
     stance_len = DUTY_FACTOR * cycle
     bob_amp = 0.0 if kind in ("stairs", "stand") else BOB_AMPLITUDE * leg_min / 0.85
@@ -302,83 +236,93 @@ def generate_gait(kind: str, num_frames: int, fps: float = 30.0, seed: int = 0,
     inside = (0.97 * leg_min) ** 2 - horiz * horiz
     if inside <= 0:
         raise SynthesisError("leg geometry cannot cover the stride")
-    pelvis_h = max(ankle_h.values()) + math.sqrt(inside) - slack - bob_amp
-
-    path = _RootPath(kind, speed, fps, step_len)
-    feet = {
-        "l": _FootPlan(+1.0, 0.0, cycle, stance_len, path, hip_half),
-        "r": _FootPlan(-1.0, 0.5 * cycle, cycle, stance_len, path, hip_half),
-    }
+    pelvis_h = ankle_h.max() + math.sqrt(inside) - slack - bob_amp
 
     arm_amp = float(rng.uniform(0.25, 0.45)) if kind != "stand" else 0.0
     bob_phase = float(rng.uniform(0.0, 2.0 * math.pi))
+
+    def ground_pose(t: np.ndarray):
+        """Ground-plane positions (y = 0) and headings of the root path at
+        fractional frames t: a circular arc for the turn gait, otherwise a
+        line along x (at rest for the stand gait)."""
+        sec = t / fps
+        pos = np.zeros(t.shape + (3,))
+        if turn_rate:
+            pos[:, 0] = speed / turn_rate * np.sin(turn_rate * sec)
+            pos[:, 2] = speed / turn_rate * (np.cos(turn_rate * sec) - 1.0)
+            return pos, turn_rate * sec
+        pos[:, 0] = speed * sec
+        return pos, np.zeros(t.shape)
+
+    def plant(k: np.ndarray, offset: float, sign: float):
+        """World anchor positions and yaws of plants k of one foot: the
+        mid-stance root pose moved sideways by the hip half-width, on the
+        stair tread under it."""
+        t_mid = k * cycle + offset + 0.5 * stance_len
+        pos, yaw = ground_pose(t_mid)
+        pos += sign * hip_half * np.stack([np.sin(yaw), np.zeros(yaw.shape), np.cos(yaw)], axis=-1)
+        pos[:, 1] = rise * np.floor(speed * t_mid / fps / step_len + 1e-9)
+        return pos, yaw
+
+    # Root path, with the pelvis over the smoothed stair ramp and bobbing.
+    t = np.arange(num_frames, dtype=float)
+    root_pos, yaw = ground_pose(t)
+    root_pos[:, 1] = (pelvis_h + rise * (speed * t / fps) / step_len
+                      + bob_amp * np.cos(4.0 * math.pi * t / cycle + bob_phase))
+    root_rot = geom.rot_y(yaw)
 
     # Rigid upper-body offsets, each scaled by its own bone scale.
     def child_offset(parent, child):
         return s_of(parent, child) * (CANONICAL[L[child]] - CANONICAL[L[parent]])
 
-    local = np.zeros((num_frames, NUM_LANDMARKS, 3))
-    root_rot = np.zeros((num_frames, 3, 3))
-    root_pos = np.zeros((num_frames, 3))
+    rest = np.zeros((NUM_LANDMARKS, 3))
+    rest[L["left_hip"]], rest[L["right_hip"]] = [0.0, 0.0, hip_half], [0.0, 0.0, -hip_half]
+    for parent, child in (("left_hip", "left_shoulder"), ("right_hip", "right_shoulder"),
+                          ("left_shoulder", "nose"), ("nose", "left_eye"), ("nose", "right_eye"),
+                          ("left_eye", "left_ear"), ("right_eye", "right_ear")):
+        rest[L[child]] = rest[L[parent]] + child_offset(parent, child)
+    local = np.repeat(rest[None], num_frames, axis=0)
+
+    swing = arm_amp * np.sin(2.0 * math.pi * t / cycle)
+    for side, sgn in (("left", +1.0), ("right", -1.0)):
+        elbow = (rest[L[f"{side}_shoulder"]]
+                 + geom.rot_z(sgn * swing) @ child_offset(f"{side}_shoulder", f"{side}_elbow"))
+        local[:, L[f"{side}_elbow"]] = elbow
+        local[:, L[f"{side}_wrist"]] = (
+            elbow + geom.rot_z(sgn * 1.2 * swing) @ child_offset(f"{side}_elbow", f"{side}_wrist"))
+
+    # Foot plans: in stance the foot rests at the plant of its cycle k; in
+    # swing it moves toward plant k + 1 along a smoothstep, lifted by a sine.
+    # The right foot trails the left by half a cycle; standing feet never
+    # swing.
     stance = np.zeros((num_frames, 2), dtype=bool)  # columns: left, right
+    for i, (side, sign) in enumerate((("left", +1.0), ("right", -1.0))):
+        offset = 0.5 * cycle * i
+        k = np.floor((t - offset) / cycle)
+        phase = (t - offset) - k * cycle
+        (p0, y0), (p1, y1) = plant(k, offset, sign), plant(k + 1, offset, sign)
+        stance[:, i] = (phase < stance_len) | (kind == "stand")
+        u = (phase - stance_len) / (cycle - stance_len)
+        us = _smoothstep(u)
+        swing_pos = p0 + (p1 - p0) * us[:, None]
+        swing_pos[:, 1] += SWING_CLEARANCE * np.sin(math.pi * u)
+        anchor = np.where(stance[:, i, None], p0, swing_pos)
+        ry = geom.rot_y(np.where(stance[:, i], y0, y0 + (y1 - y0) * us))
+        ankle_w = anchor + ry @ np.array([0.0, ankle_h[i], 0.0])
+        heel_w = ankle_w + ry @ (heel_scale[i] * np.array([-0.06, -0.08, 0.0]))
+        toe_w = ankle_w + ry @ (toe_scale[i] * np.array([0.15, -0.08, 0.0]))
+        for name, world in (("ankle", ankle_w), ("heel", heel_w), ("toe", toe_w)):
+            local[:, L[f"{side}_{name}"]] = np.einsum("tji,tj->ti", root_rot, world - root_pos)
 
-    for t in range(num_frames):
-        base, yaw = path.ground_pose(float(t))
-        gam = geom.rot_y(yaw)
-        bob = bob_amp * math.cos(4.0 * math.pi * t / cycle + bob_phase)
-        tau = base + np.array([0.0, pelvis_h + path.root_level(float(t)) + bob, 0.0])
-        root_rot[t] = gam
-        root_pos[t] = tau
-
-        pose = np.zeros((NUM_LANDMARKS, 3))
-        lh = np.array([0.0, 0.0, hip_half])
-        rh = np.array([0.0, 0.0, -hip_half])
-        pose[L["left_hip"]], pose[L["right_hip"]] = lh, rh
-        pose[L["left_shoulder"]] = lh + child_offset("left_hip", "left_shoulder")
-        pose[L["right_shoulder"]] = rh + child_offset("right_hip", "right_shoulder")
-        swing = arm_amp * math.sin(2.0 * math.pi * t / cycle)
-        for side, sgn in (("left", +1.0), ("right", -1.0)):
-            rz = geom.rot_z(sgn * swing)
-            sh = pose[L[f"{side}_shoulder"]]
-            el = sh + rz @ child_offset(f"{side}_shoulder", f"{side}_elbow")
-            wr = el + geom.rot_z(sgn * 1.2 * swing) @ child_offset(f"{side}_elbow", f"{side}_wrist")
-            pose[L[f"{side}_elbow"]], pose[L[f"{side}_wrist"]] = el, wr
-        pose[L["nose"]] = pose[L["left_shoulder"]] + child_offset("left_shoulder", "nose")
-        pose[L["left_eye"]] = pose[L["nose"]] + child_offset("nose", "left_eye")
-        pose[L["right_eye"]] = pose[L["nose"]] + child_offset("nose", "right_eye")
-        pose[L["left_ear"]] = pose[L["left_eye"]] + child_offset("left_eye", "left_ear")
-        pose[L["right_ear"]] = pose[L["right_eye"]] + child_offset("right_eye", "right_ear")
-
-        for f, side in (("l", "left"), ("r", "right")):
-            if kind == "stand":
-                n = np.array([0.0, 0.0, 1.0]) * feet[f].sign
-                anchor = hip_half * n
-                anchor[1] = 0.0
-                foot_yaw, in_stance = 0.0, True
-            else:
-                anchor, foot_yaw, in_stance = feet[f].anchor(t)
-            ry = geom.rot_y(foot_yaw)
-            ankle_w = anchor + ry @ np.array([0.0, ankle_h[f], 0.0])
-            heel_w = ankle_w + ry @ (heel_scale[f] * np.array([-0.06, -0.08, 0.0]))
-            toe_w = ankle_w + ry @ (toe_scale[f] * np.array([0.15, -0.08, 0.0]))
-            ankle = gam.T @ (ankle_w - tau)
-            pose[L[f"{side}_ankle"]] = ankle
-            pose[L[f"{side}_heel"]] = gam.T @ (heel_w - tau)
-            pose[L[f"{side}_toe"]] = gam.T @ (toe_w - tau)
-            hip = lh if f == "l" else rh
-            pose[L[f"{side}_knee"]] = _two_bone_ik(
-                hip, ankle, thigh[f], shin[f], np.array([1.0, 0.0, 0.0]))
-            stance[t, 0 if f == "l" else 1] = in_stance
-        local[t] = pose
+    hips = [L["left_hip"], L["right_hip"]]
+    local[:, [L["left_knee"], L["right_knee"]]] = _two_bone_ik(
+        local[:, hips], local[:, [L["left_ankle"], L["right_ankle"]]], thigh, shin)
 
     # Erode stance by one frame on each side so labeled frames have zero
     # velocity under both difference conventions.
-    contacts = np.zeros((num_frames, 4))
-    for col, foot in ((0, 0), (1, 1), (2, 0), (3, 1)):
-        s = stance[:, foot]
-        prev_s = np.concatenate([[s[0]], s[:-1]])
-        next_s = np.concatenate([s[1:], [s[-1]]])
-        contacts[:, col] = (s & prev_s & next_s).astype(float)
+    prev_s = np.concatenate([stance[:1], stance[:-1]])
+    next_s = np.concatenate([stance[1:], stance[-1:]])
+    contacts = (stance & prev_s & next_s)[:, [0, 1, 0, 1]].astype(float)
 
     seq = MotionSequence(fps=fps, local_pose=local, bone_scales=scales,
                          root_rot=root_rot, root_pos=root_pos, contacts=contacts)
@@ -409,8 +353,7 @@ def resample_speed(seq: MotionSequence, factor: float) -> MotionSequence:
 
     local = (1.0 - frac)[:, None, None] * seq.local_pose[i0] + frac[:, None, None] * seq.local_pose[i0 + 1]
     root_pos = (1.0 - frac)[:, None] * seq.root_pos[i0] + frac[:, None] * seq.root_pos[i0 + 1]
-    root_rot = np.stack([geom.slerp(seq.root_rot[a], seq.root_rot[a + 1], u)
-                         for a, u in zip(i0, frac)])
+    root_rot = geom.slerp(seq.root_rot[i0], seq.root_rot[i0 + 1], frac)
     out = MotionSequence(fps=seq.fps, local_pose=local, bone_scales=seq.bone_scales.copy(),
                          root_rot=root_rot, root_pos=root_pos,
                          contacts=np.zeros((n_out, 4)))

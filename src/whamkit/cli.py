@@ -18,6 +18,7 @@ from . import dataset as ds
 from .bench import run_bench
 from .config import FINETUNE_EPOCHS_DEFAULT, load_config
 from .errors import (CheckpointError, InvalidInputError, NumericError, WhamkitError)
+from .fileio import atomic_write
 # infer_bundle stays importable from here: the benchmark's span tracer
 # (perfbench/spans.py) wraps it in this module by name.
 from .evaluate import (INFER_BLOCK, AblationFlags, evaluate_split, infer_bundle,  # noqa: F401
@@ -140,7 +141,7 @@ def cmd_bench(args) -> int:
     text = json.dumps(report, sort_keys=True, indent=1)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text + "\n")
     return EXIT_OK
 

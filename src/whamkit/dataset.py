@@ -238,7 +238,8 @@ def load_keypoints(path) -> KeypointSequence2D:
 # -- features --------------------------------------------------------------------
 
 def save_features(path, feats: np.ndarray) -> None:
-    np.asarray(feats, dtype="<f4").tofile(path)
+    with atomic_write(path, "wb") as fh:
+        fh.write(np.asarray(feats, dtype="<f4").tobytes())
 
 
 def load_features(path, dim: int) -> np.ndarray:
@@ -281,7 +282,7 @@ def write_manifest(out_dir, cfg: SynthConfig, seed: int, count: int) -> dict:
         "skeleton_version": SKELETON_VERSION,
         "splits": split_sequences(count, seed),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return manifest
 

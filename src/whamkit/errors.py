@@ -12,10 +12,9 @@ class InvalidInputError(WhamkitError, ValueError):
 class BehindCameraError(WhamkitError, ValueError):
     """Raised when a point to project lies at or behind the camera plane."""
 
-    def __init__(self, message, landmark_indices=None, frame=None):
+    def __init__(self, message, landmark_indices=None):
         super().__init__(message)
         self.landmark_indices = landmark_indices
-        self.frame = frame
 
 
 class NumericError(WhamkitError, ArithmeticError):

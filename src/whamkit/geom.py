@@ -2,7 +2,8 @@
 
 All functions are pure and operate on plain float64 numpy arrays. Rotations
 are 3x3 row-major orthonormal matrices with det +1; axis-angle vectors are in
-radians with the angle encoded as the vector norm.
+radians with the angle encoded as the vector norm. The SO(3) helpers take a
+single value or a stack over leading axes and return the matching shape.
 """
 
 from __future__ import annotations
@@ -13,87 +14,110 @@ import numpy as np
 
 from .errors import BehindCameraError, InvalidInputError
 
+
 def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector (cross-product operator)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrices (..., 3, 3) of (..., 3) vectors (the
+    cross-product operator)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    k = np.zeros(v.shape + (3,))
+    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -z, y, -x
+    k[..., 1, 0], k[..., 2, 0], k[..., 2, 1] = z, -y, x
+    return k
 
 
 def exp_so3(axis_angle: np.ndarray) -> np.ndarray:
-    """Rodrigues exponential map from an axis-angle vector to a rotation.
+    """Rodrigues exponential map from (..., 3) axis-angle vectors to
+    (..., 3, 3) rotations.
 
-    exp_so3(0) is the identity. Small angles use a series expansion of the
-    sin(t)/t and (1-cos(t))/t^2 coefficients for stability.
+    exp_so3(0) is exactly the identity. Small angles use a series expansion
+    of the sin(t)/t and (1-cos(t))/t^2 coefficients for stability.
     """
-    v = np.asarray(axis_angle, dtype=float).reshape(3)
-    t2 = float(v @ v)
+    v = np.asarray(axis_angle, dtype=float)
+    t2 = (v * v).sum(axis=-1)[..., None, None]
+    small = t2 < 1e-16
+    safe_t2 = np.where(small, 1.0, t2)
+    t = np.sqrt(safe_t2)
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t)
+    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / safe_t2)
     k = hat(v)
-    if t2 < 1e-16:
-        a = 1.0 - t2 / 6.0
-        b = 0.5 - t2 / 24.0
-    else:
-        t = np.sqrt(t2)
-        a = np.sin(t) / t
-        b = (1.0 - np.cos(t)) / t2
     return np.eye(3) + a * k + b * (k @ k)
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
-    """Principal axis-angle vector of a rotation, norm in [0, pi].
+    """Principal axis-angle vectors (..., 3), norm in [0, pi], of (..., 3, 3)
+    rotations.
 
     Near zero the first-order skew extraction is used directly; near pi the
     trace-robust branch recovers the axis from the symmetric part, with the
     sign fixed deterministically.
     """
     r = np.asarray(r, dtype=float)
-    cos_t = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(cos_t))
-    skew = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if theta < 1e-7:
-        # sin(t)/t ~ 1; skew already equals sin(t) * axis.
-        return skew * (1.0 + theta * theta / 6.0)
-    if theta > np.pi - 1e-4:
-        # (R + I)/2 = a a^T + cos-ish terms; diagonal dominates along the axis.
-        s = (r + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(s), 0.0))
-        # Off-diagonal signs relative to the largest component.
-        i = int(np.argmax(axis))
-        if axis[i] < 1e-12:
-            return np.zeros(3)
-        for j in range(3):
-            if j != i:
-                axis[j] = np.copysign(axis[j], s[i, j])
-        axis = axis / np.linalg.norm(axis)
-        if axis[np.argmax(np.abs(axis))] < 0:
-            axis = -axis
-        # Refine the angle from the skew part when it still carries signal.
-        sin_t = np.linalg.norm(skew)
-        ang = np.pi - np.arcsin(np.clip(sin_t, -1.0, 1.0)) if np.trace(r) < 1.0 else theta
-        return axis * ang
-    return skew * (theta / np.sin(theta))
+    cos_t = np.clip((np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_t)
+    skew = 0.5 * np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
+                           r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+    small = theta < 1e-7
+    # Near zero sin(t)/t ~ 1, and skew already equals sin(t) * axis.
+    factor = np.where(small, 1.0 + theta * theta / 6.0,
+                      theta / np.sin(np.where(small, 1.0, theta)))
+    out = skew * factor[..., None]
+    near_pi = theta > np.pi - 1e-4
+    if near_pi.any():
+        out[near_pi] = [_log_near_pi(m, s, t)
+                        for m, s, t in zip(r[near_pi], skew[near_pi], theta[near_pi])]
+    return out
 
 
-def rot_x(angle: float) -> np.ndarray:
+def _log_near_pi(r: np.ndarray, skew: np.ndarray, theta: float) -> np.ndarray:
+    """log_so3 of one rotation whose angle is within 1e-4 of pi."""
+    # (R + I)/2 = a a^T + cos-ish terms; diagonal dominates along the axis.
+    s = (r + np.eye(3)) / 2.0
+    axis = np.sqrt(np.maximum(np.diag(s), 0.0))
+    # Off-diagonal signs relative to the largest component.
+    i = int(np.argmax(axis))
+    if axis[i] < 1e-12:
+        return np.zeros(3)
+    for j in range(3):
+        if j != i:
+            axis[j] = np.copysign(axis[j], s[i, j])
+    axis = axis / np.linalg.norm(axis)
+    if axis[np.argmax(np.abs(axis))] < 0:
+        axis = -axis
+    # Refine the angle from the skew part when it still carries signal.
+    sin_t = np.linalg.norm(skew)
+    ang = np.pi - np.arcsin(np.clip(sin_t, -1.0, 1.0)) if np.trace(r) < 1.0 else theta
+    return axis * ang
+
+
+def _plane_rotation(angle, i: int, j: int) -> np.ndarray:
+    """(..., 3, 3) rotations by the given angles taking axis i toward axis j."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    r = np.zeros(np.shape(angle) + (3, 3))
+    r[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    r[..., i, i] = r[..., j, j] = c
+    r[..., i, j], r[..., j, i] = -s, s
+    return r
 
 
-def rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def rot_x(angle) -> np.ndarray:
+    return _plane_rotation(angle, 1, 2)
 
 
-def rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def rot_y(angle) -> np.ndarray:
+    return _plane_rotation(angle, 2, 0)
 
 
-def slerp(r_a: np.ndarray, r_b: np.ndarray, u: float) -> np.ndarray:
-    """Geodesic interpolation on SO(3); u=0 returns r_a exactly."""
-    if u == 0.0:
-        return np.array(r_a, dtype=float)
-    rel = log_so3(np.asarray(r_a).T @ np.asarray(r_b))
-    return np.asarray(r_a) @ exp_so3(u * rel)
+def rot_z(angle) -> np.ndarray:
+    return _plane_rotation(angle, 0, 1)
+
+
+def slerp(r_a: np.ndarray, r_b: np.ndarray, u) -> np.ndarray:
+    """Geodesic interpolation on SO(3), broadcast over (..., 3, 3) rotation
+    stacks and the fractions u; u = 0 returns r_a exactly, because
+    exp_so3(0) is exactly the identity."""
+    rel = log_so3(np.swapaxes(r_a, -1, -2) @ r_b)
+    return r_a @ exp_so3(np.asarray(u, dtype=float)[..., None] * rel)
 
 
 @dataclass(frozen=True)
@@ -178,7 +202,7 @@ class Pinhole:
 MIN_PROJECT_DEPTH = 1e-6
 
 
-def project(pinhole: Pinhole, cam_points: np.ndarray, frame: int | None = None) -> np.ndarray:
+def project(pinhole: Pinhole, cam_points: np.ndarray) -> np.ndarray:
     """Perspective projection of camera-frame points to pixel coordinates.
 
     Raises BehindCameraError listing the offending landmark indices when any
@@ -188,10 +212,8 @@ def project(pinhole: Pinhole, cam_points: np.ndarray, frame: int | None = None) 
     z = pts[:, 2]
     bad = np.nonzero(z <= MIN_PROJECT_DEPTH)[0]
     if bad.size:
-        where = f"frame {frame}, " if frame is not None else ""
-        raise BehindCameraError(
-            f"{where}landmarks {bad.tolist()} are at or behind the camera plane",
-            landmark_indices=bad.tolist(), frame=frame)
+        raise BehindCameraError(f"landmarks {bad.tolist()} are at or behind the camera plane",
+                                landmark_indices=bad.tolist())
     u = pinhole.f * pts[:, 0] / z + pinhole.cx
     v = pinhole.f * pts[:, 1] / z + pinhole.cy
     return np.stack([u, v], axis=1)
@@ -207,9 +229,5 @@ def angular_velocity(rotations: np.ndarray) -> np.ndarray:
     rots = np.asarray(rotations, dtype=float)
     if rots.ndim != 3 or rots.shape[1:] != (3, 3) or rots.shape[0] < 2:
         raise InvalidInputError("angular_velocity needs at least two 3x3 rotations")
-    n = rots.shape[0]
-    omega = np.zeros((n, 3))
-    for t in range(1, n):
-        omega[t] = log_so3(rots[t - 1].T @ rots[t])
-    omega[0] = omega[1]
-    return omega
+    omega = log_so3(np.swapaxes(rots[:-1], -1, -2) @ rots[1:])
+    return np.concatenate([omega[:1], omega])

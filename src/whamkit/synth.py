@@ -95,9 +95,6 @@ class CameraTrajectory:
     def num_frames(self) -> int:
         return self.rotations.shape[0]
 
-    def world_to_camera(self, points: np.ndarray, t: int) -> np.ndarray:
-        return np.asarray(points) @ self.rotations[t].T + self.translations[t]
-
 
 @dataclass
 class KeypointSequence2D:
@@ -194,7 +191,7 @@ def synth_camera(seq: MotionSequence, pinhole: geom.Pinhole, cfg: SynthConfig,
         stamps = (np.arange(n) + cfg.timestamp_noise * rng.uniform(-1.0, 1.0, size=n)) / (n - 1)
         stamps[0], stamps[-1] = 0.0, 1.0
 
-        rotations = np.stack([geom.slerp(r0, r_end, u) for u in stamps])
+        rotations = geom.slerp(r0, r_end, stamps)
         translations = t0 + stamps[:, None] * (t_end - t0)
 
         root_cam0 = rotations[0] @ root0 + translations[0]
@@ -215,13 +212,15 @@ def synth_keypoints(seq: MotionSequence, cams: CameraTrajectory, cfg: SynthConfi
                     seed: int = 0) -> KeypointSequence2D:
     """Project, corrupt, and box-normalize the 17 COCO keypoints.
 
-    Pipeline per frame: world -> camera -> pixels, additive Gaussian pixel
-    noise, independent masking with probability cfg.mask_prob, tight box over
-    the visible points grown by cfg.bbox_margin, box normalization. Points at
-    or behind the camera plane are masked rather than projected. Frames with
-    fewer than two visible points reuse the previous frame's box and get the
-    carried flag; visible points falling outside a carried box are re-masked
-    to keep normalized coordinates in [-1, 1].
+    Pipeline, over all frames at once: world -> camera -> pixels, additive
+    Gaussian pixel noise, independent masking with probability
+    cfg.mask_prob, tight box over each frame's visible points grown by
+    cfg.bbox_margin, box normalization. Points at or behind the camera plane
+    are masked rather than projected. Frames with fewer than two visible
+    points reuse the latest earlier box (the image-centered half-width box
+    before the first) and get the carried flag; visible points falling
+    outside a carried box are re-masked to keep normalized coordinates in
+    [-1, 1].
     """
     n = seq.num_frames
     if cams.num_frames != n:
@@ -233,46 +232,32 @@ def synth_keypoints(seq: MotionSequence, cams: CameraTrajectory, cfg: SynthConfi
     pixel_noise = rng.normal(0.0, 1.0, size=(n, NUM_KEYPOINTS_2D, 2))
     mask_draw = rng.uniform(0.0, 1.0, size=(n, NUM_KEYPOINTS_2D))
 
-    kp = np.zeros((n, NUM_KEYPOINTS_2D, 2))
-    vis = np.zeros((n, NUM_KEYPOINTS_2D), dtype=bool)
-    center = np.zeros((n, 2))
-    scale = np.zeros(n)
-    carried = np.zeros(n, dtype=bool)
     w, h = cams.pinhole.w, cams.pinhole.h
-    prev_center_px = np.array([w / 2.0, h / 2.0])
-    prev_scale_px = w / 2.0
+    cam_pts = world @ np.swapaxes(cams.rotations, -1, -2) + cams.translations[:, None, :]
+    in_front = cam_pts[..., 2] > geom.MIN_PROJECT_DEPTH
+    px = np.zeros((n, NUM_KEYPOINTS_2D, 2))
+    px[in_front] = geom.project(cams.pinhole, cam_pts[in_front])
+    px += cfg.noise_std_px * pixel_noise
+    visible = in_front & (mask_draw >= cfg.mask_prob)
 
-    for t in range(n):
-        cam_pts = cams.world_to_camera(world[t], t)
-        in_front = cam_pts[:, 2] > geom.MIN_PROJECT_DEPTH
-        px = np.zeros((NUM_KEYPOINTS_2D, 2))
-        if in_front.any():
-            px[in_front] = geom.project(cams.pinhole, cam_pts[in_front], frame=t)
-        px += cfg.noise_std_px * pixel_noise[t]
-        visible = in_front & (mask_draw[t] >= cfg.mask_prob)
+    # Box 0 is the initial box and box k the k-th frame with its own box, so
+    # the count of such frames up to t picks frame t's box.
+    own = visible.sum(axis=1) >= 2
+    own_px, own_vis = px[own], visible[own][..., None]
+    lo = np.where(own_vis, own_px, np.inf).min(axis=1)
+    hi = np.where(own_vis, own_px, -np.inf).max(axis=1)
+    side = (1.0 + cfg.bbox_margin) * np.maximum((hi - lo).max(axis=1), 1e-6)
+    pick = np.cumsum(own)
+    center_px = np.vstack([[w / 2.0, h / 2.0], 0.5 * (lo + hi)])[pick]
+    scale_px = np.concatenate([[w / 2.0], np.maximum(side, 1.0)])[pick]
 
-        if visible.sum() >= 2:
-            lo = px[visible].min(axis=0)
-            hi = px[visible].max(axis=0)
-            center_px = 0.5 * (lo + hi)
-            side = (1.0 + cfg.bbox_margin) * max(float((hi - lo).max()), 1e-6)
-            scale_px = max(side, 1.0)
-        else:
-            carried[t] = True
-            center_px, scale_px = prev_center_px, prev_scale_px
-            norm = np.abs(px - center_px) / (0.5 * scale_px)
-            visible = visible & (norm.max(axis=1) <= 1.0)
-
-        half = 0.5 * scale_px
-        kp[t][visible] = (px[visible] - center_px) / half
-        vis[t] = visible
-        center[t] = [center_px[0] / w, center_px[1] / h]
-        scale[t] = scale_px / w
-        prev_center_px, prev_scale_px = center_px, scale_px
-
+    half = 0.5 * scale_px[:, None, None]
+    norm = (px - center_px[:, None]) / half
+    visible &= own[:, None] | (np.abs(norm).max(axis=2) <= 1.0)
+    kp = np.where(visible[..., None], norm, 0.0)
     return KeypointSequence2D(image_w=w, image_h=h, keypoints=kp,
-                              mask=vis.astype(np.uint8), center=center,
-                              scale=scale, carried=carried)
+                              mask=visible.astype(np.uint8), center=center_px / [w, h],
+                              scale=scale_px / w, carried=~own)
 
 
 def contact_probability(velocity: np.ndarray) -> np.ndarray:

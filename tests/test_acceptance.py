@@ -229,7 +229,8 @@ def test_criterion_5_synthesis_statistics():
         cams = synth.synth_camera(stand, ph, cfg, seed=seed)
         pitch, _ = camera_pitch_roll(cams.rotations[0])
         pitches[seed] = math.degrees(pitch)
-        uv = geom.project(ph, cams.world_to_camera(stand.root_pos[0], 0)[None])[0]
+        root_cam = cams.rotations[0] @ stand.root_pos[0] + cams.translations[0]
+        uv = geom.project(ph, root_cam[None])[0]
         in_frame &= bool(0.0 <= uv[0] <= ph.w and 0.0 <= uv[1] <= ph.h)
     mean_ok = abs(pitches.mean() - 5.0) <= 0.7
     std_ok = abs(pitches.std() - 22.5) <= 1.0

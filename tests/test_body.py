@@ -2,12 +2,33 @@ import numpy as np
 import pytest
 
 from whamkit import body, geom
-from whamkit.errors import InvalidInputError
+from whamkit.errors import InvalidInputError, SynthesisError
 
 from tests.conftest import is_rotation
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 # Values measured once from the generator and pinned as regressions.
 WALK_81_DISPLACEMENT = 2.880
+
+# generate_gait(kind, 60, seed=2) with bone scales exp(N(0, 0.1)) drawn at
+# seed 11: left knee at frame 37, right toe at frame 52, root position at
+# frame 59 and the summed contact truth. A generator change that moves them
+# updates them on purpose.
+PINNED_GAITS = {
+    "walk": ([0.4036851533932041, -0.26185292309897906, 0.10034251291203988],
+             [0.45086334193130106, -0.7995253098463314, -0.10034251291203988],
+             [2.133079109032033, 0.8097399356439732, 0.0], 132.0),
+    "turn": ([0.405426398272129, -0.25911634285876267, 0.09624216498000353],
+             [0.43699510673148656, -0.7995253098463314, -0.13630331922175531],
+             [1.8653354702982734, 0.8097399356439732, -0.8838672355229197], 132.0),
+    "stairs": ([0.4736327828335586, -0.08485660511070278, 0.10034251291203988],
+               [0.45086334193130106, -0.5704817192448239, -0.10034251291203988],
+               [2.133079109032033, 1.1452305779813923, 0.0], 132.0),
+    "stand": ([0.24696975473964078, -0.41295834735408393, 0.10034251291203988],
+              [0.16163227629983903, -0.9142282335166522, -0.10034251291203988],
+              [0.0, 0.9075770922532204, 0.0], 240.0),
+}
 
 
 class TestSkeleton:
@@ -100,6 +121,29 @@ class TestGenerateGait:
         seq = body.generate_gait(kind, 60, seed=2, bone_scales=scales)
         lens = body.bone_lengths(seq.local_pose)
         assert np.abs(lens - body.REST_LENGTHS * scales).max() < 1e-6
+
+    @pytest.mark.parametrize("kind", body.GAIT_KINDS)
+    def test_pinned_values(self, kind):
+        scales = np.exp(np.random.default_rng(11).normal(0.0, 0.1, body.NUM_BONES))
+        seq = body.generate_gait(kind, 60, seed=2, bone_scales=scales)
+        knee, toe, root, contact_sum = PINNED_GAITS[kind]
+        assert np.abs(seq.local_pose[37, body.L["left_knee"]] - knee).max() < 1e-12
+        assert np.abs(seq.local_pose[52, body.L["right_toe"]] - toe).max() < 1e-12
+        assert np.abs(seq.root_pos[59] - root).max() < 1e-12
+        assert seq.contacts.sum() == contact_sum
+
+    @pytest.mark.parametrize("scales, message", [
+        # A right thigh three times too long fails the right leg at frame 0.
+        (np.where(np.arange(body.NUM_BONES) == body.BONE_INDEX[("right_hip", "right_knee")],
+                  3.0, 1.0), "|hip-ankle|=0.7704, segments 1.2600+0.4300"),
+        # These scales first fail past frame 1 (a 2-frame gait succeeds).
+        (np.exp(np.random.default_rng(12).normal(0.0, 0.3, body.NUM_BONES)),
+         "|hip-ankle|=0.6493, segments 0.2925+0.3563"),
+    ])
+    def test_unreachable_leg_reports_the_first_failure(self, scales, message):
+        with pytest.raises(SynthesisError) as err:
+            body.generate_gait("walk", 60, seed=12, bone_scales=scales)
+        assert str(err.value) == "leg target unreachable: " + message
 
     def test_stairs_monotone_rise(self):
         seq = body.generate_gait("stairs", 150, seed=4)

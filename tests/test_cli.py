@@ -19,7 +19,7 @@ from whamkit.model import ModelDims
 from whamkit.optim import load_checkpoint
 from whamkit.train import load_model
 
-from tests.conftest import read_metrics_csv
+from tests.conftest import fail_atomic_writes, read_metrics_csv
 
 SMALL_MODEL = ["--set", "hidden=16", "--set", "feature_dim=8",
                "--set", "integrator_hidden=16", "--set", "init_hidden=8",
@@ -426,6 +426,19 @@ class TestBenchCommand:
         for mode in report["batch_modes"].values():
             assert "median_s" in mode and "frames_per_s" in mode
             assert len(mode["samples_s"]) == 3
+
+    def test_failed_write_keeps_previous_report(self, trained, tmp_path, monkeypatch):
+        _, run = trained
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ("bench", "--checkpoint", str(run / "finetune.ckpt"), "--frames", "4",
+                "--runs", "1", "--out", str(out / "bench.json"))
+        assert run_cli(*argv) == 0
+        before = (out / "bench.json").read_bytes()
+        fail_atomic_writes(monkeypatch, limit=len(before) // 2)
+        assert run_cli(*argv) == 3
+        assert (out / "bench.json").read_bytes() == before
+        assert os.listdir(out) == ["bench.json"]
 
 
 class TestEntryPoint:

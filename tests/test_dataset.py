@@ -91,7 +91,7 @@ class TestCameraAndKeypointFormats:
         feats = np.random.default_rng(3).normal(size=(7, 5))
         path = tmp_path / "f.bin"
         ds.save_features(path, feats)
-        assert os.path.getsize(path) == 7 * 5 * 4
+        assert path.read_bytes() == feats.astype("<f4").tobytes()
         back = ds.load_features(path, 5)
         assert np.abs(back - feats).max() < 1e-6
 
@@ -214,6 +214,22 @@ class TestDatasetDirectory:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    @pytest.mark.parametrize("name", ["manifest.json", "seq_0.feat.bin"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        if name == "manifest.json":
+            write = lambda count: ds.write_manifest(out, synth.SynthConfig(), 5, count)
+        else:
+            write = lambda count: ds.save_features(out / name, np.arange(8.0 * count).reshape(-1, 8))
+        write(4)
+        before = (out / name).read_bytes()
+        fail_atomic_writes(monkeypatch, limit=len(before) // 2)
+        with pytest.raises(OSError, match="No space"):
+            write(9)
+        assert (out / name).read_bytes() == before
+        assert os.listdir(out) == [name]
 
     def test_zero_count_dataset(self, tmp_path):
         manifest = ds.synthesize_dataset(tmp_path / "z", synth.SynthConfig(seq_len=8),

@@ -85,6 +85,63 @@ class TestExpLog:
             assert is_rotation(r, tol=1e-9)
 
 
+def mixed_axis_angles():
+    """Axis-angle vectors mixing the zero rotation, small angles (series
+    branches), angles within 1e-4 of pi (log_so3's near-pi branch) and
+    ordinary rotations."""
+    rng = np.random.default_rng(21)
+    axes = rng.normal(size=(12, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.array([0.0, 1e-12, 3e-9, 0.3, np.pi - 1e-6, 1.0, np.pi - 5e-5,
+                       2.0, np.pi, 2.9, 1e-7, 3.1])
+    return axes * angles[:, None]
+
+
+class TestBatchedSO3:
+    def test_slerp_at_zero_returns_start_exactly(self):
+        rots = geom.exp_so3(mixed_axis_angles())
+        assert np.array_equal(geom.slerp(rots[:-1], rots[1:], 0.0), rots[:-1])
+        for a, b in zip(rots[:-1], rots[1:]):
+            assert np.array_equal(geom.slerp(a, b, 0.0), a)
+
+    def test_exp_hat_log_equal_per_item_calls(self):
+        v = mixed_axis_angles()
+        rots = geom.exp_so3(v)
+        assert np.array_equal(rots, np.stack([geom.exp_so3(x) for x in v]))
+        assert np.array_equal(geom.hat(v), np.stack([geom.hat(x) for x in v]))
+        logs = geom.log_so3(rots)
+        assert np.array_equal(logs, np.stack([geom.log_so3(r) for r in rots]))
+        assert np.array_equal(geom.exp_so3(v.reshape(3, 4, 3)), rots.reshape(3, 4, 3, 3))
+        assert np.array_equal(geom.log_so3(rots.reshape(3, 4, 3, 3)), logs.reshape(3, 4, 3))
+
+    def test_slerp_equals_per_item_calls(self):
+        rots = geom.exp_so3(mixed_axis_angles())
+        u = np.linspace(0.0, 1.0, len(rots) - 1)
+        want = np.stack([geom.slerp(a, b, w) for a, b, w in zip(rots[:-1], rots[1:], u)])
+        assert np.array_equal(geom.slerp(rots[:-1], rots[1:], u), want)
+        # One pair broadcast over many fractions.
+        want = np.stack([geom.slerp(rots[3], rots[5], w) for w in u])
+        assert np.array_equal(geom.slerp(rots[3], rots[5], u), want)
+
+    @pytest.mark.parametrize("rot", [geom.rot_x, geom.rot_y, geom.rot_z])
+    def test_axis_rotations_equal_per_item_calls(self, rot):
+        angles = np.array([0.0, -1e-9, 0.4, -2.5, np.pi, 7.0])
+        want = np.stack([rot(float(a)) for a in angles])
+        assert np.array_equal(rot(angles), want)
+        assert np.array_equal(rot(angles.reshape(2, 3)), want.reshape(2, 3, 3, 3))
+        for r in want:
+            assert is_rotation(r, tol=1e-12)
+
+    def test_single_values_keep_their_shapes(self):
+        r = geom.exp_so3([0.1, -0.2, 0.3])
+        assert r.shape == (3, 3) and geom.hat([1.0, 2.0, 3.0]).shape == (3, 3)
+        assert geom.log_so3(r).shape == (3,)
+        assert geom.log_so3(geom.exp_so3([np.pi, 0.0, 0.0])).shape == (3,)
+        assert geom.slerp(r, np.eye(3), 0.5).shape == (3, 3)
+        for rot in (geom.rot_x, geom.rot_y, geom.rot_z):
+            assert rot(0.3).shape == (3, 3)
+
+
 class TestRotation6D:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -258,9 +315,8 @@ class TestProject:
     def test_behind_camera_error(self):
         ph = geom.Pinhole(f=500, w=1000, h=1000)
         with pytest.raises(BehindCameraError) as err:
-            geom.project(ph, [[0, 0, 5.0], [0, 0, 0.0]], frame=7)
+            geom.project(ph, [[0, 0, 5.0], [0, 0, 0.0]])
         assert err.value.landmark_indices == [1]
-        assert err.value.frame == 7
 
     def test_focal_scale_covariance(self):
         rng = np.random.default_rng(13)

@@ -8,6 +8,8 @@ from whamkit.errors import InvalidInputError
 
 from tests.conftest import camera_pitch_roll, is_rotation
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 WALK = body.generate_gait("walk", 81, seed=3)
 
 
@@ -26,7 +28,7 @@ class TestCameraSynthesis:
         cams = synth.synth_camera(WALK, cfg.pinhole(), cfg, seed=1)
         assert np.abs(cams.omega).max() == 0.0
         assert np.abs(np.diff(cams.rotations, axis=0)).max() == 0.0
-        root_cam = cams.world_to_camera(WALK.root_pos[0], 0)
+        root_cam = cams.rotations[0] @ WALK.root_pos[0] + cams.translations[0]
         assert abs(root_cam[2] - 7.0) < 1e-12
         uv = geom.project(cfg.pinhole(), root_cam[None])[0]
         assert np.abs(uv - [500.0, 500.0]).max() < 1e-9
@@ -55,7 +57,8 @@ class TestCameraSynthesis:
         ph = cfg.pinhole()
         for seed in range(200):
             cams = synth.synth_camera(WALK, ph, cfg, seed=seed)
-            uv = geom.project(ph, cams.world_to_camera(WALK.root_pos[0], 0)[None])[0]
+            root_cam = cams.rotations[0] @ WALK.root_pos[0] + cams.translations[0]
+            uv = geom.project(ph, root_cam[None])[0]
             assert 0.0 <= uv[0] <= ph.w and 0.0 <= uv[1] <= ph.h
 
     def test_subject_stays_in_front(self):
@@ -95,7 +98,8 @@ class TestKeypointSynthesis:
         px = kps.to_pixels()
         world = body.world_landmarks(WALK)[:, :17]
         for t in range(WALK.num_frames):
-            want = geom.project(cams.pinhole, cams.world_to_camera(world[t], t))
+            cam_pts = world[t] @ cams.rotations[t].T + cams.translations[t]
+            want = geom.project(cams.pinhole, cam_pts)
             assert np.abs(px[t] - want).max() < 1e-9
 
     def test_visible_keypoints_normalized_range(self):
@@ -113,6 +117,32 @@ class TestKeypointSynthesis:
         assert (kps.mask == 0).all()
         assert (kps.keypoints == 0.0).all()
         assert kps.carried.all()
+
+    def test_pinned_values_with_carried_frames(self):
+        # Values measured once at mask_prob 0.9 and pinned as regressions.
+        # Frames 0-2 carry the initial box (image center, half the image
+        # width) and keep the visible points inside it; frame 4 carries
+        # frame 3's box.
+        cfg = synth.SynthConfig(mask_prob=0.9)
+        cams = synth.synth_camera(WALK, cfg.pinhole(), cfg, seed=3)
+        kps = synth.synth_keypoints(WALK, cams, cfg, seed=16)
+        assert np.flatnonzero(kps.carried)[:10].tolist() == [0, 1, 2, 4, 6, 8, 9, 14, 20, 24]
+        assert kps.mask.sum(axis=1)[:10].tolist() == [0, 1, 1, 4, 0, 2, 0, 2, 0, 0]
+        box3 = ([0.4348832369515145, 0.45158579295934337], 0.04126166884079582)
+        boxes = [([0.5, 0.5], 0.5)] * 3 + [box3, box3]
+        for t, (center, scale) in enumerate(boxes):
+            assert np.abs(kps.center[t] - center).max() < 1e-12
+            assert abs(kps.scale[t] - scale) < 1e-12
+        visible = {1: {14: [-0.2950783876183759, -0.13749972947788136]},
+                   2: {1: [-0.22723819866224199, -0.2745541243682255]},
+                   3: {1: [0.4666251666694323, -0.8333333333333348],
+                       10: [-0.46662516666943504, 0.460230207086985],
+                       13: [0.38746648833238145, 0.2798233216861117],
+                       14: [-0.41372746627740803, 0.833333333333332]}}
+        for t, points in visible.items():
+            assert np.flatnonzero(kps.mask[t]).tolist() == sorted(points)
+            for j, xy in points.items():
+                assert np.abs(kps.keypoints[t, j] - xy).max() < 1e-12
 
     def test_mask_rate_monte_carlo(self):
         cfg = synth.SynthConfig()
