@@ -199,11 +199,19 @@ def swap_last(a) -> Tensor:
 
 
 def getitem(a, idx) -> Tensor:
+    """Basic slicing or a gather by index arrays. A gather may pick one
+    element more than once, so its backward accumulates with np.add.at
+    where an assignment would keep only the last of the repeats."""
     a = as_tensor(a)
+    gather = any(isinstance(i, (list, np.ndarray))
+                 for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def bw(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
+        if gather:
+            np.add.at(full, idx, g)
+        else:
+            full[idx] = g
         return (full,)
 
     return _node(a.data[idx], (a,), bw)

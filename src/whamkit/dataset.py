@@ -289,8 +289,8 @@ def write_manifest(out_dir, cfg: SynthConfig, seed: int, count: int) -> dict:
 
 def read_manifest(dataset_dir) -> dict:
     """The manifest of a dataset directory. One that does not parse, is not
-    an object, or lacks splits or config.feature_dim raises
-    InvalidInputError."""
+    an object, lacks splits, or lacks a positive integer config.feature_dim
+    raises InvalidInputError."""
     path = os.path.join(dataset_dir, "manifest.json")
     with open(path) as fh:
         try:
@@ -302,6 +302,10 @@ def read_manifest(dataset_dir) -> dict:
             and "feature_dim" in manifest["config"]):
         raise InvalidInputError(f"{path}: the manifest must be an object with the keys "
                                 "splits and config.feature_dim")
+    dim = manifest["config"]["feature_dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise InvalidInputError(f"{path}: config.feature_dim must be a positive integer, "
+                                f"not {dim!r}")
     return manifest
 
 

@@ -88,7 +88,8 @@ def _check_finite(x: Tensor, where: str) -> Tensor:
 
 
 class Dense:
-    """Affine layer y = x @ W + b."""
+    """Affine layer y = x @ W + b on the last axis of a (..., in) input,
+    applied as one 2-D matmul over all leading rows."""
 
     def __init__(self, params: ParamSet, name: str, in_dim: int, out_dim: int,
                  rng: np.random.Generator):
@@ -97,7 +98,9 @@ class Dense:
         self.b = params.add(f"{name}.b", _init_uniform(rng, (out_dim,), in_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return _check_finite(ad.add(ad.matmul(x, self.w), self.b), self.name)
+        rows = x if x.data.ndim == 2 else ad.reshape(x, (-1, x.shape[-1]))
+        y = _check_finite(ad.add(ad.matmul(rows, self.w), self.b), self.name)
+        return y if rows is x else ad.reshape(y, x.shape[:-1] + y.shape[-1:])
 
 
 class DenseStack:

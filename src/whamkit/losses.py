@@ -74,13 +74,11 @@ def reprojection_loss(cam_points: Tensor, kp_px: np.ndarray, visible: np.ndarray
     the loss and the visible-landmark count (0 means the term is zero and
     carries no signal).
     """
-    t, b = cam_points.shape[0], cam_points.shape[1]
+    b = cam_points.shape[1]
     z = cam_points[..., 2:3]
     z_safe = ad.clip(z, MIN_REPROJECTION_DEPTH, None)
-    f = focal.reshape(1, b, 1, 1)
-    u = cam_points[..., 0:1] / z_safe * Tensor(f) + Tensor(cx.reshape(1, b, 1, 1))
-    v = cam_points[..., 1:2] / z_safe * Tensor(f) + Tensor(cy.reshape(1, b, 1, 1))
-    pred = ad.concat([u, v], axis=-1)
+    center = np.stack([cx, cy], axis=-1).reshape(1, b, 1, 2)
+    pred = cam_points[..., :2] / z_safe * Tensor(focal.reshape(1, b, 1, 1)) + Tensor(center)
     err = (pred - Tensor(kp_px)) * (1.0 / image_w)
     weights = visible.astype(float)[..., None]
     count = int(visible.sum())
@@ -88,7 +86,7 @@ def reprojection_loss(cam_points: Tensor, kp_px: np.ndarray, visible: np.ndarray
         return ad.tsum(err * 0.0), 0
     sq = ad.tsum(ad.square(err) * Tensor(weights), axis=-1)
     loss = ad.tsum(sq) * (1.0 / count)
-    hinge = _mean_sq(ad.relu(DEPTH_HINGE - cam_points[..., 2]))
+    hinge = _mean_sq(ad.relu(DEPTH_HINGE - z))
     return loss + hinge, count
 
 

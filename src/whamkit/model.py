@@ -34,7 +34,8 @@ INITIAL_DEPTH_GUESS = 5.0  # head bias prior on the camera-frame root depth, m
 
 # Pose heads predict offsets from the rest posture, so an untrained head
 # already emits a plausible body instead of a point cloud at the origin.
-_REST_ANCHOR = (CANONICAL - 0.5 * (CANONICAL[L["left_hip"]] + CANONICAL[L["right_hip"]])).ravel()
+_HIPS = [L["left_hip"], L["right_hip"]]
+_REST_ANCHOR = (CANONICAL - CANONICAL[_HIPS].mean(axis=0)).ravel()
 
 # Per-frame angular velocities (rad/frame) and egocentric velocities
 # (m/frame) are two orders of magnitude smaller than the unit-scale feature
@@ -171,13 +172,16 @@ def pack_encoder_input(kp_norm: np.ndarray, mask: np.ndarray,
 
 
 def center_pose(flat: Tensor) -> Tensor:
-    """Decode a (N, 63) head output, an offset on the rest posture, to a
-    hip-centered (N, 21, 3) pose."""
-    flat = flat + Tensor(_REST_ANCHOR)
-    n = flat.shape[0]
-    pose = ad.reshape(flat, (n, NUM_LANDMARKS, 3))
-    mid = (pose[:, L["left_hip"]] + pose[:, L["right_hip"]]) * 0.5
-    return pose - ad.reshape(mid, (n, 1, 3))
+    """Decode a (..., 63) head output, an offset on the rest posture, to a
+    hip-centered (..., 21, 3) pose."""
+    pose = ad.reshape(flat + Tensor(_REST_ANCHOR), flat.shape[:-1] + (NUM_LANDMARKS, 3))
+    return pose - ad.tmean(pose[..., _HIPS, :], axis=-2, keepdims=True)
+
+
+def rotation_head(out6: Tensor) -> Tensor:
+    """Decode a (..., 6) head output, an offset on the identity's 6D vector,
+    to (..., 3, 3) rotations; a zero output gives the identity exactly."""
+    return rotops.rotation6d_to_matrix(Tensor(rotops.IDENTITY_6D) + out6)
 
 
 def rollout(root_rot: Tensor, vel: Tensor) -> Tensor:
@@ -257,61 +261,45 @@ class WhamModel:
         """Causal motion features (T, B, H) and cascade landmarks (T, B, 21, 3)."""
         if kp_input.ndim != 3 or kp_input.shape[0] < 1:
             raise InvalidInputError("encoder input must be a nonempty (T, B, D) array")
-        t, b, _ = kp_input.shape
         phi = self.weights.encoder_gru.sequence(Tensor(kp_input), h0)
-        casc = center_pose(self.weights.encoder_head(ad.reshape(phi, (t * b, self.dims.hidden))))
-        return phi, ad.reshape(casc, (t, b, NUM_LANDMARKS, 3))
+        return phi, center_pose(self.weights.encoder_head(phi))
 
     def integrate(self, phi: Tensor, features: np.ndarray | None) -> Tensor:
         """Residual feature fusion; with no features this is the identity."""
         if features is None:
             return phi
-        t, b, h = phi.shape
-        flat = ad.reshape(phi, (t * b, h))
-        fused = flat + self.weights.integrator(
-            ad.concat([flat, Tensor(features.reshape(t * b, -1))], axis=1))
-        return ad.reshape(fused, (t, b, h))
+        return phi + self.weights.integrator(ad.concat([phi, Tensor(features)], axis=2))
 
     def decode_motion(self, fused: Tensor, h0: Tensor | None = None):
+        """The five motion heads, all fed from one (T*B, H) view of the
+        decoder states: a backward pass keeps every node's gradient until
+        the loss is dropped, and one shared node keeps one such buffer."""
         t, b, h = fused.shape
-        flat = ad.reshape(self.weights.motion_gru.sequence(fused, h0), (t * b, h))
-        pose = ad.reshape(center_pose(self.weights.head_pose(flat)), (t, b, NUM_LANDMARKS, 3))
-        contact_logit = ad.reshape(self.weights.head_contact(flat) * CONTACT_LOGIT_GAIN,
-                                   (t, b, 4))
-        cam_pos = ad.reshape(self.weights.head_cam_pos(flat), (t, b, 3))
-        scales = ad.reshape(ad.exp(self.weights.head_shape(flat)), (t, b, NUM_BONES))
-        cam_rot = ad.reshape(rotops.rotation6d_to_matrix(
-            Tensor(rotops.IDENTITY_6D) + self.weights.head_cam_rot(flat)), (t, b, 3, 3))
-        return pose, contact_logit, cam_pos, scales, cam_rot
+        w = self.weights
+        flat = ad.reshape(w.motion_gru.sequence(fused, h0), (t * b, h))
+        unflat = lambda x: ad.reshape(x, (t, b) + x.shape[1:])
+        return (unflat(center_pose(w.head_pose(flat))),
+                unflat(w.head_contact(flat) * CONTACT_LOGIT_GAIN),
+                unflat(w.head_cam_pos(flat)),
+                unflat(ad.exp(w.head_shape(flat))),
+                unflat(rotation_head(w.head_cam_rot(flat))))
 
     def decode_trajectory(self, phi: Tensor, omega: np.ndarray) -> tuple[Tensor, Tensor]:
-        t, b, h = phi.shape
-        if omega.shape[:2] != (t, b):
+        if omega.shape[:2] != phi.shape[:2]:
             raise InvalidInputError("omega length must match the feature sequence")
         scaled = np.tile(CONDITIONING_INPUT_GAIN * omega, (1, 1, OMEGA_TILE))
         x = ad.concat([phi, Tensor(scaled)], axis=2)
-        flat = ad.reshape(self.weights.traj_gru.sequence(x), (t * b, h))
-        out = self.weights.traj_head(flat)
-        rot0 = ad.reshape(rotops.rotation6d_to_matrix(
-            Tensor(rotops.IDENTITY_6D) + out[:, 0:6]), (t, b, 3, 3))
-        vel0 = ad.reshape(out[:, 6:9], (t, b, 3))
-        return rot0, vel0
+        out = self.weights.traj_head(self.weights.traj_gru.sequence(x))
+        return rotation_head(out[..., :6]), out[..., 6:]
 
     def refine_trajectory(self, phi: Tensor, root_rot0: Tensor,
                           vel_adj: Tensor) -> tuple[Tensor, Tensor]:
         """Residual GRU correction on top of (root_rot0, vel_adj); zero
         weights pass both through bit-identically."""
-        t, b, h = phi.shape
-        sixd0 = rotops.matrix_to_6d(root_rot0)
-        vel_in = CONDITIONING_INPUT_GAIN * vel_adj
-        x = ad.concat([phi, sixd0, vel_in], axis=2)
-        flat = ad.reshape(self.weights.refine_gru.sequence(x), (t * b, h))
-        out = self.weights.refine_head(flat)
-        delta = ad.reshape(rotops.rotation6d_to_matrix(
-            Tensor(rotops.IDENTITY_6D) + out[:, 0:6]), (t, b, 3, 3))
-        rot = ad.matmul(root_rot0, delta)
-        vel = vel_adj + ad.reshape(out[:, 6:9], (t, b, 3))
-        return rot, vel
+        x = ad.concat([phi, rotops.matrix_to_6d(root_rot0),
+                       CONDITIONING_INPUT_GAIN * vel_adj], axis=2)
+        out = self.weights.refine_head(self.weights.refine_gru.sequence(x))
+        return ad.matmul(root_rot0, rotation_head(out[..., :6])), vel_adj + out[..., 6:]
 
     # -- full pipeline -------------------------------------------------------
 

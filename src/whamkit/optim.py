@@ -134,14 +134,19 @@ def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except ValueError as exc:
+            dims, meta = header["dims"], header["meta"]
+            layout = [(str(sec["name"]), int(sec["count"])) for sec in header["sections"]]
+        except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: truncated or malformed header") from exc
+        if not (isinstance(dims, dict) and isinstance(meta, dict)
+                and all(count >= 0 for _, count in layout)):
+            raise CheckpointError(f"{path}: malformed header")
         sections = {}
-        for sec in header["sections"]:
-            raw = fh.read(8 * sec["count"])
-            if len(raw) != 8 * sec["count"]:
-                raise CheckpointError(f"{path}: truncated section {sec['name']!r}")
-            sections[sec["name"]] = np.frombuffer(raw, dtype="<f8").copy()
+        for name, count in layout:
+            raw = fh.read(8 * count)
+            if len(raw) != 8 * count:
+                raise CheckpointError(f"{path}: truncated section {name!r}")
+            sections[name] = np.frombuffer(raw, dtype="<f8").copy()
     if "params" not in sections:
         raise CheckpointError(f"{path}: missing params section")
-    return header["dims"], header["meta"], sections
+    return dims, meta, sections

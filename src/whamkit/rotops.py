@@ -19,10 +19,7 @@ IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 def cross(a: Tensor, b: Tensor) -> Tensor:
     """Cross product over the trailing axis of (..., 3) tensors."""
-    c0 = a[..., 1:2] * b[..., 2:3] - a[..., 2:3] * b[..., 1:2]
-    c1 = a[..., 2:3] * b[..., 0:1] - a[..., 0:1] * b[..., 2:3]
-    c2 = a[..., 0:1] * b[..., 1:2] - a[..., 1:2] * b[..., 0:1]
-    return ad.concat([c0, c1, c2], axis=-1)
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
 def rotation6d_to_matrix(v: Tensor) -> Tensor:
@@ -41,7 +38,7 @@ def rotation6d_to_matrix(v: Tensor) -> Tensor:
 
 def matrix_to_6d(r: Tensor) -> Tensor:
     """First two columns of (..., 3, 3) rotations as a (..., 6) tensor."""
-    return ad.concat([r[..., :, 0], r[..., :, 1]], axis=-1)
+    return r[..., [0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1]]
 
 
 def so3_log(rel: Tensor) -> Tensor:
@@ -51,7 +48,7 @@ def so3_log(rel: Tensor) -> Tensor:
     touches the arccos singularity at the identity; the exact branch input
     is clamped strictly inside (-1, 1) so both branches stay finite.
     """
-    tr = rel[..., 0, 0] + rel[..., 1, 1] + rel[..., 2, 2]
+    tr = ad.tsum(rel[..., [0, 1, 2], [0, 1, 2]], axis=-1, keepdims=True)
     c = (tr - 1.0) * 0.5
     u = 1.0 - c
     small = u.data < 1e-6
@@ -59,7 +56,5 @@ def so3_log(rel: Tensor) -> Tensor:
     theta = ad.arccos(ad.clip(c, -1.0 + 1e-7, 1.0 - 1e-7))
     s_large = theta / (2.0 * ad.sin(theta))
     s = ad.where(small, s_small, s_large)
-    vee = ad.stack([rel[..., 2, 1] - rel[..., 1, 2],
-                    rel[..., 0, 2] - rel[..., 2, 0],
-                    rel[..., 1, 0] - rel[..., 0, 1]], axis=-1)
-    return vee * ad.reshape(s, s.shape + (1,))
+    vee = rel[..., [2, 0, 1], [1, 2, 0]] - rel[..., [1, 2, 0], [2, 0, 1]]
+    return vee * s

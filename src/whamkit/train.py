@@ -192,6 +192,10 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
 def load_model(checkpoint_path: str) -> tuple[WhamModel, dict]:
     """Instantiate a model from a checkpoint; returns (model, meta)."""
     dims_dict, meta, sections = load_checkpoint(checkpoint_path)
-    weights = WhamParams(ModelDims(**dims_dict), seed=0)
-    weights.params.set_flat(sections["params"])
+    try:
+        weights = WhamParams(ModelDims(**dims_dict), seed=0)
+        weights.params.set_flat(sections["params"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{checkpoint_path}: parameters do not fit the model dims "
+                              f"{dims_dict}: {exc}") from exc
     return WhamModel(weights), meta

@@ -120,6 +120,15 @@ class TestShapeOps:
 
         check(fn, [a])
 
+    def test_gather_repeated_index_accumulates(self):
+        a = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        ad.tsum(a[[0, 0, 2]]).backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 0.0, 1.0])
+
+        b = leaf((2, 3, 3), 16)
+        check(lambda: ad.tsum(ad.square(b[..., [0, 2, 0, 1], [1, 1, 1, 0]])), [b])
+        check(lambda: ad.tsum(ad.square(b[:, [2, 2, 0], :] * b[..., [0, 0, 1]])), [b])
+
     def test_swap_last(self):
         a = leaf((3, 4, 5), 15)
         check(lambda: ad.tsum(ad.square(ad.matmul(ad.swap_last(a), a))), [a])

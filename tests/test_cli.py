@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -16,7 +17,7 @@ from whamkit.errors import CheckpointError, InvalidInputError
 from whamkit.evaluate import infer_bundle
 from whamkit.losses import LossWeights
 from whamkit.model import ModelDims
-from whamkit.optim import load_checkpoint
+from whamkit.optim import MAGIC, VERSION, load_checkpoint
 from whamkit.train import load_model
 
 from tests.conftest import fail_atomic_writes, read_metrics_csv
@@ -335,7 +336,8 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert str(path) in err and "no frame lines" in err
 
-    @pytest.mark.parametrize("text", ["{", "[]", "{}", '{"splits": {"test": []}}'])
+    @pytest.mark.parametrize("text", ["{", "[]", "{}", '{"splits": {"test": []}}',
+                                      '{"splits": {"test": [0]}, "config": {"feature_dim": "8"}}'])
     def test_malformed_manifest_is_usage_error(self, workspace, tmp_path, capsys, text):
         _, data = workspace
         copy = tmp_path / "data"
@@ -344,6 +346,23 @@ class TestEvalCommand:
         assert run_cli("eval", "--oracle", "--dataset", str(copy), "--out",
                        str(tmp_path / "ev"), "--no-svg") == 2
         assert str(copy / "manifest.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        {"dims": {}, "meta": {}},
+        [],
+        {"dims": {"hidden": 8, "depth": 2}, "meta": {},
+         "sections": [{"name": "params", "count": 2}]},
+        {"dims": {}, "meta": {}, "sections": [{"name": "params", "count": -1}]},
+        {"dims": {"hidden": 8}, "meta": {}, "sections": [{"name": "params", "count": 2}]},
+    ], ids=["no sections", "a list", "unknown dims key", "negative count", "params misfit"])
+    def test_malformed_checkpoint_header_exit_code(self, workspace, tmp_path, capsys, header):
+        _, data = workspace
+        blob = json.dumps(header).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + bytes(16))
+        assert run_cli("eval", "--checkpoint", str(path), "--dataset", str(data),
+                       "--out", str(tmp_path / "ev"), "--no-svg") == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_eval_without_checkpoint_is_usage_error(self, workspace):
         _, data = workspace

@@ -198,6 +198,15 @@ class TestDatasetDirectory:
         assert bundle.features.shape == (12, 8)
         assert bundle.root_vel.shape == (12, 3)
 
+    @pytest.mark.parametrize("dim", ["8", 0, -3, 8.0, True, None])
+    def test_manifest_feature_dim_must_be_a_positive_integer(self, tmp_path, dim):
+        ds.write_manifest(tmp_path, synth.SynthConfig(), 5, 2)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"]["feature_dim"] = dim
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidInputError, match="feature_dim must be a positive integer"):
+            ds.read_manifest(tmp_path)
+
     def test_load_split(self, sample):
         root, _, manifest = sample
         for split in ("train", "val", "test"):

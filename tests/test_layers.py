@@ -163,6 +163,22 @@ class TestDense:
         want = x @ layer.w.data + layer.b.data
         assert np.abs(layer(ad.Tensor(x)).data - want).max() < 1e-15
 
+    def test_leading_axes_match_the_2d_application_bit_for_bit(self):
+        params = ParamSet()
+        layer = Dense(params, "fc", 40, 9, np.random.default_rng(4))
+        x = np.random.default_rng(5).normal(size=(7, 3, 40))
+        grads = []
+        for inp, shape in ((x, (7, 3, 9)), (x.reshape(21, 40), (21, 9))):
+            params.zero_grads()
+            xt = ad.Tensor(inp, requires_grad=True)
+            y = layer(xt)
+            assert y.shape == shape
+            ad.tsum(ad.square(y)).backward()
+            grads.append((y.data.reshape(21, 9), xt.grad.reshape(21, 40),
+                          layer.w.grad, layer.b.grad))
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
     def test_stack_relu_hidden_linear_out(self):
         params = ParamSet()
         stack = DenseStack(params, "mlp", [2, 4, 3], np.random.default_rng(2))

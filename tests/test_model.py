@@ -5,11 +5,15 @@ import whamkit.autodiff as ad
 from whamkit import body, geom
 from whamkit.autodiff import Tensor
 from whamkit.errors import InvalidInputError
+from whamkit.gradcheck import forward_backward
+from whamkit.losses import LossWeights
 from whamkit.model import (ENCODER_INPUT_DIM, AblationFlags, ModelDims, WhamModel,
                            WhamParams, adjust_velocity, extract_velocities, rollout,
                            rollout_np)
+from whamkit.train import TrainingModule
 
 from tests.conftest import is_rotation
+from tests.test_trace_targets import load_spans
 
 DIMS = ModelDims(hidden=8, feature_dim=8, integrator_hidden=8, init_hidden=16)
 
@@ -25,6 +29,32 @@ def random_inputs(frames=6, batch=2, seed=0):
     omega = rng.normal(0, 0.02, size=(frames, batch, 3))
     feats = rng.normal(0, 1, size=(frames, batch, DIMS.feature_dim))
     return kp, omega, feats
+
+
+def random_batch(frames=6, batch=2, feature_dim=32, seed=5):
+    """A finetune training batch of seeded random values, with the truth
+    rotations drawn through geom.exp_so3; it feeds every loss term without
+    depending on the synthesizer."""
+    rng = np.random.default_rng(seed)
+    tb = (frames, batch)
+    return {
+        "kp_input": rng.uniform(-1, 1, size=tb + (ENCODER_INPUT_DIM,)),
+        "omega": rng.normal(0, 0.02, size=tb + (3,)),
+        "features": rng.normal(0, 1, size=tb + (feature_dim,)),
+        "init_pose": rng.normal(0, 0.3, size=(batch, 63)),
+        "local_pose": rng.normal(0, 0.3, size=tb + (21, 3)),
+        "bone_scales": rng.uniform(0.9, 1.1, size=(batch, 20)),
+        "root_rot": geom.exp_so3(rng.normal(0, 0.5, size=tb + (3,))),
+        "root_vel": rng.normal(0, 0.03, size=tb + (3,)),
+        "contacts": rng.uniform(0, 1, size=tb + (4,)),
+        "cam_rot": geom.exp_so3(rng.normal(0, 0.5, size=tb + (3,))),
+        "kp_px": rng.uniform(0, 640, size=tb + (17, 2)),
+        "kp_vis": rng.uniform(size=tb + (17,)) < 0.8,
+        "focal": rng.uniform(500, 700, size=batch),
+        "cx": rng.uniform(300, 340, size=batch),
+        "cy": rng.uniform(220, 260, size=batch),
+        "image_w": 640.0,
+    }
 
 
 class TestRollout:
@@ -301,3 +331,57 @@ class TestEncoderFixedPoint:
         steps = np.linalg.norm(np.diff(phi.data[:, 0], axis=0), axis=-1)
         assert steps[-1] < steps[10]
         assert (np.diff(steps[10:]) <= 1e-12).all()
+
+
+class TestPinnedOutputs:
+    """Values of seed-0 weights at the default dims on random_batch(),
+    recorded with single-threaded BLAS. A change that only restructures the
+    model math keeps the loss and the inference outputs bit-identical and
+    the gradient within summation-order rounding; a change that means to
+    move them updates these numbers."""
+
+    LOSS = 6.442509229346944
+    # The largest-magnitude gradient entry of each parameter block.
+    GRAD = {78371: 0.16591149494423638, 115456: -0.06446229734086549,
+            222848: 1.0174486539247463, 335652: -1.9485637694215647,
+            438957: -0.8268123030121841, 459562: 0.04251898230502817}
+    GRAD_NORM = 6.852987167621727
+    # (output field, index into that column's array) -> (column 0, column 1)
+    INFERENCE = {
+        ("local_pose", (5, 20, 2)): (-0.1496819208311087, -0.0055521263704375046),
+        ("contact", (4, 1)): (0.5104842105491657, 0.4699508774240368),
+        ("cam_root_pos", (5, 2)): (5.065778180994824, 5.092433520229933),
+        ("cam_root_rot", (3, 0, 1)): (0.0649950869401686, 0.07707838664925766),
+        ("bone_scales", (5, 7)): (1.008687445029044, 1.0079429771757475),
+        ("root_rot0", (5, 2, 0)): (-0.015986939789174832, 0.008205798820987665),
+        ("vel_adj", (5, 0)): (0.02263822034202468, -0.019425778031577245),
+        ("root_rot", (5, 1, 2)): (-0.10050162504361232, -0.1381085185419598),
+        ("root_pos", (5, 0)): (0.12955426521185237, -0.1833945314767291),
+    }
+
+    @pytest.fixture(scope="class")
+    def seed0(self):
+        return WhamModel(WhamParams(ModelDims(), seed=0)), random_batch()
+
+    def test_finetune_loss_and_gradient(self, seed0):
+        model, batch = seed0
+        loss, grad = forward_backward(TrainingModule(model, LossWeights(), "finetune"), batch)
+        assert loss == self.LOSS
+        for i, want in self.GRAD.items():
+            assert abs(grad[i] - want) <= 1e-14, i
+        assert abs(np.linalg.norm(grad) - self.GRAD_NORM) <= 1e-14
+
+    def test_self_init_inference(self, seed0):
+        model, batch = seed0
+        out = model.infer_batch(batch["kp_input"], batch["omega"], batch["features"])
+        for (name, idx), want in self.INFERENCE.items():
+            assert tuple(getattr(col, name)[idx] for col in out) == want, name
+
+    def test_finetune_tape_size(self, seed0):
+        """A batch-2 finetune loss records at most 320 nodes, counted as the
+        benchmark counts them: per-node overhead is a large share of a
+        small-batch step, so a change that inflates the tape fails here."""
+        model, batch = seed0
+        loss = TrainingModule(model, LossWeights(), "finetune").loss(batch)
+        nodes, _ = load_spans().tape_size(loss)
+        assert nodes <= 320

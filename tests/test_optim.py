@@ -1,11 +1,15 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from whamkit import optim
 from whamkit.errors import CheckpointError, InvalidInputError
-from whamkit.optim import ADAM_BLOCK, AdamState, adam_step, load_checkpoint, save_checkpoint
+from whamkit.optim import (ADAM_BLOCK, MAGIC, VERSION, AdamState, adam_step, load_checkpoint,
+                          save_checkpoint)
 
 from tests.conftest import fail_atomic_writes
 
@@ -135,3 +139,23 @@ class TestCheckpoint:
             save_checkpoint(path, {"hidden": 4}, np.ones(64), meta={"epoch": 2})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+        | st.sampled_from(["params", "dims", "meta", "sections", "name", "count"]),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["dims", "meta", "sections", "name", "count"]),
+                          inner, max_size=4),
+        max_leaves=12))
+    def test_any_header_loads_or_raises_checkpoint_error(self, tmp_path, header):
+        """Whatever JSON the header holds, loading returns or raises
+        CheckpointError, never another exception."""
+        blob = json.dumps(header).encode()
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + bytes(24))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

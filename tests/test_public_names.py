@@ -98,3 +98,29 @@ def test_every_public_name_is_used():
               and (len(re.findall(rf"\b{name}\b", text)) <= defined[name] if method
                    else (module, name) not in used)]
     assert not unused, f"unused outside the tests: {unused}"
+
+
+def imported_names(tree: ast.Module, lines: list[str]):
+    """(name, line) of each name an import statement binds, except
+    __future__ features and names on lines marked # noqa."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            if "# noqa" not in lines[alias.lineno - 1]:
+                yield (alias.asname or alias.name).split(".")[0], alias.lineno
+
+
+def test_every_import_is_used():
+    """A package module uses every name it imports; a deliberate re-export
+    carries # noqa on its line."""
+    unused = []
+    for path in PACKAGE:
+        source = open(path).read()
+        tree = ast.parse(source)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module_name(path)}.py:{line} {name}"
+                   for name, line in imported_names(tree, source.splitlines())
+                   if name not in names]
+    assert not unused, f"imported but unused: {unused}"
