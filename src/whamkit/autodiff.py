@@ -6,6 +6,12 @@ accumulates gradients into every reachable Tensor with requires_grad set.
 Inside no_grad() the same ops run without building the tape, which is the
 inference fast path.
 
+An elementwise op is its forward function plus its backward formula:
+_unary(fn, bw) and _binary(fn, bw) build the op, and the op records one
+node whose backward is bw(g, x, out) or bw(g, x, y), the latter summed back
+to each operand's shape. matmul, the masked ops (where, clip), the shape
+ops and the reductions write their node by hand.
+
 Supported shapes are ndim >= 2 for matmul (including equal-batch and
 broadcast-batched stacks); elementwise ops broadcast like numpy.
 """
@@ -103,9 +109,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -138,37 +141,37 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _unary(fn, bw):
+    """An op computing fn(x), whose node's backward is bw(g, x, out)."""
+    def op(a) -> Tensor:
+        a = as_tensor(a)
+        x = a.data
+        out = fn(x)
+        return _node(out, (a,), lambda g: (bw(g, x, out),))
+    return op
+
+
+def _binary(fn, bw):
+    """An op computing fn(x, y), whose node's backward is bw(g, x, y), each
+    part summed back to its operand's shape."""
+    def op(a, b) -> Tensor:
+        a, b = as_tensor(a), as_tensor(b)
+        x, y = a.data, b.data
+
+        def backward(g):
+            gx, gy = bw(g, x, y)
+            return _unbroadcast(gx, x.shape), _unbroadcast(gy, y.shape)
+
+        return _node(fn(x, y), (a, b), backward)
+    return op
+
+
 # -- arithmetic -------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                            _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
+add = _binary(np.add, lambda g, x, y: (g, g))
+sub = _binary(np.subtract, lambda g, x, y: (g, -g))
+mul = _binary(np.multiply, lambda g, x, y: (g * y, g * x))
+div = _binary(np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 def matmul(a, b) -> Tensor:
@@ -239,17 +242,18 @@ def stack(parts, axis=0) -> Tensor:
 
 # -- reductions ---------------------------------------------------------------
 
+def _spread(g, shape, axis, keepdims) -> np.ndarray:
+    """A reduction's output gradient broadcast back over the reduced axes."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     shape = a.data.shape
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_spread(g, shape, axis, keepdims),))
 
 
 def cumsum(a, axis=0) -> Tensor:
@@ -267,34 +271,11 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([shape[ax] for ax in axes]))
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, shape).copy(),)
-
-    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
+    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_spread(g / count, shape, axis, keepdims),))
 
 
 # -- elementwise nonlinearities ----------------------------------------------
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-    return _node(out_data, (a,), lambda g: (g * out_data,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-    return _node(out_data, (a,), lambda g: (g * 0.5 / out_data,))
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function. exp(-x) would overflow for x < -709; capping its
@@ -303,23 +284,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(np.minimum(-x, 700.0)))
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = _sigmoid(a.data)
-    return _node(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
-
-
-def softplus(a) -> Tensor:
-    """log(1 + exp(a)), evaluated without overflow; the gradient is
-    sigmoid(a)."""
-    a = as_tensor(a)
-    return _node(np.logaddexp(0.0, a.data), (a,), lambda g: (g * _sigmoid(a.data),))
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+# exp overflows to inf without a warning; the loss's per-term finite check
+# reports that inf as a NumericError naming the term.
+exp = _unary(np.errstate(over="ignore")(np.exp), lambda g, x, out: g * out)
+sqrt = _unary(np.sqrt, lambda g, x, out: g * 0.5 / out)
+square = _unary(lambda x: x * x, lambda g, x, out: g * 2.0 * x)
+sigmoid = _unary(_sigmoid, lambda g, x, out: g * out * (1.0 - out))
+# log(1 + exp(x)) without overflow; its gradient is sigmoid(x).
+softplus = _unary(lambda x: np.logaddexp(0.0, x), lambda g, x, out: g * _sigmoid(x))
+relu = _unary(lambda x: np.where(x > 0, x, 0.0), lambda g, x, out: g * (x > 0))
+arccos = _unary(np.arccos, lambda g, x, out: -g / np.sqrt(1.0 - x * x))
+sin = _unary(np.sin, lambda g, x, out: g * np.cos(x))
 
 
 def clip(a, lo=None, hi=None) -> Tensor:
@@ -343,12 +318,8 @@ def where(cond, a, b) -> Tensor:
                             _unbroadcast(g * ~cond, b.data.shape)))
 
 
-def arccos(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.arccos(a.data), (a,),
-                 lambda g: (-g / np.sqrt(1.0 - a.data * a.data),))
-
-
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.sin(a.data), (a,), lambda g: (g * np.cos(a.data),))
+# Each constructor-built op is named after the public name it is bound to.
+for _name, _op in list(globals().items()):
+    if getattr(_op, "__qualname__", "").startswith(("_unary.", "_binary.")):
+        _op.__name__ = _name
+del _name, _op

@@ -7,6 +7,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
+from .errors import InvalidInputError
 from .model import ENCODER_INPUT_DIM, WhamModel
 
 
@@ -20,6 +21,9 @@ def _random_inputs(rng, frames: int, batch: int, feature_dim: int):
 def run_bench(model: WhamModel, frames: int = 81, runs: int = 5, seed: int = 0) -> dict:
     """Median frames/second of encode-decode-trajectory-refine-rollout for
     batch sizes 1 and 64 (single process; thread use follows the BLAS env)."""
+    if frames < 2 or runs < 1:
+        raise InvalidInputError(f"bench needs at least 2 frames and 1 run, "
+                                f"got {frames} and {runs}")
     rng = np.random.default_rng(seed)
     report: dict = {"frames": frames, "runs": runs, "batch_modes": {}}
     for batch in (1, 64):

@@ -344,6 +344,8 @@ def synthesize_sequence(cfg: SynthConfig, seq_seed, master_seed: int):
 
 def synthesize_dataset(out_dir, cfg: SynthConfig, seed: int, count: int) -> dict:
     """Write a complete dataset directory; deterministic per (cfg, seed)."""
+    if count < 0:
+        raise InvalidInputError(f"sequence count must be >= 0, got {count}")
     os.makedirs(out_dir, exist_ok=True)
     children = np.random.SeedSequence(seed).spawn(max(count, 1))
     for k in range(count):

@@ -15,6 +15,7 @@ The "params" section is the flat parameter vector; optimizer state adds
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -135,18 +136,22 @@ def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
             dims, meta = header["dims"], header["meta"]
-            layout = [(str(sec["name"]), int(sec["count"])) for sec in header["sections"]]
+            layout = [(str(sec["name"]), sec["count"]) for sec in header["sections"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: truncated or malformed header") from exc
+        # A count is a non-negative int (JSON also yields bools and floats,
+        # Infinity among them), checked against the bytes left before any
+        # read is sized by it.
         if not (isinstance(dims, dict) and isinstance(meta, dict)
-                and all(count >= 0 for _, count in layout)):
+                and all(type(count) is int and count >= 0 for _, count in layout)):
             raise CheckpointError(f"{path}: malformed header")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         sections = {}
         for name, count in layout:
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
+            if 8 * count > left:
                 raise CheckpointError(f"{path}: truncated section {name!r}")
-            sections[name] = np.frombuffer(raw, dtype="<f8").copy()
+            left -= 8 * count
+            sections[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
     if "params" not in sections:
         raise CheckpointError(f"{path}: missing params section")
     return dims, meta, sections

@@ -129,23 +129,18 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
     log_path = os.path.join(cfg.out_dir, "train_log.csv")
 
     dims = cfg.model_dims()
-    weights = WhamParams(dims, seed=cfg.seed)
-    start_epoch = 0
     adam = AdamState(lr=cfg.lr if stage == "pretrain" else cfg.lr_integrator)
 
     resuming = resume and os.path.exists(ckpt_path)
     source = ckpt_path if resuming else init_checkpoint if stage == "finetune" else None
     if stage == "finetune" and (source is None or not os.path.exists(source)):
         raise CheckpointError("finetune requires an existing pretrain checkpoint")
-    if source is not None:
-        saved_dims, meta, sections = load_checkpoint(source)
-        if saved_dims != dims.to_dict():
-            raise CheckpointError(f"{source}: checkpoint dims do not match the config")
-        weights.params.set_flat(sections["params"])
-    if resuming:
-        adam.m, adam.v = sections["adam_m"], sections["adam_v"]
-        adam.step_count = int(meta["adam_step"])
-        start_epoch = int(meta["epoch"])
+    if source is None:
+        weights, start_epoch = WhamParams(dims, seed=cfg.seed), 0
+    else:
+        weights, meta = _read_checkpoint(source, dims, adam if resuming else None)
+        start_epoch = meta["epoch"] if resuming else 0
+    adam.ensure(weights.params.size)
 
     if stage == "finetune":
         adam.lr_scale = _lr_scale(weights.params, cfg.lr_integrator, cfg.lr_pretrained)
@@ -162,10 +157,7 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
                         meta={"stage": stage, "epoch": epoch, "seed": cfg.seed,
                               "adam_step": adam.step_count,
                               "loss_weights": cfg.loss_weights().to_dict()},
-                        extra_sections={"adam_m": adam.m if adam.m is not None
-                                        else np.zeros(weights.params.size),
-                                        "adam_v": adam.v if adam.v is not None
-                                        else np.zeros(weights.params.size)})
+                        extra_sections={"adam_m": adam.m, "adam_v": adam.v})
 
     if cfg.epochs == 0 or start_epoch >= cfg.epochs:
         save(start_epoch)
@@ -189,13 +181,34 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
     return ckpt_path
 
 
-def load_model(checkpoint_path: str) -> tuple[WhamModel, dict]:
-    """Instantiate a model from a checkpoint; returns (model, meta)."""
-    dims_dict, meta, sections = load_checkpoint(checkpoint_path)
+def _read_checkpoint(path, dims: ModelDims | None = None,
+                     adam: AdamState | None = None) -> tuple[WhamParams, dict]:
+    """The weights and meta of a checkpoint. With dims, the checkpoint's
+    dims must equal them; with adam, its moments and step count are
+    restored from the checkpoint, whose meta must then also hold the epoch.
+    Anything that does not fit raises CheckpointError."""
+    saved_dims, meta, sections = load_checkpoint(path)
+    if dims is not None and saved_dims != dims.to_dict():
+        raise CheckpointError(f"{path}: checkpoint dims do not match the config")
     try:
-        weights = WhamParams(ModelDims(**dims_dict), seed=0)
+        weights = WhamParams(ModelDims(**saved_dims), seed=0)
         weights.params.set_flat(sections["params"])
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{checkpoint_path}: parameters do not fit the model dims "
-                              f"{dims_dict}: {exc}") from exc
+        raise CheckpointError(f"{path}: parameters do not fit the model dims "
+                              f"{saved_dims}: {exc}") from exc
+    if adam is not None:
+        size = (weights.params.size,)
+        moments = (sections.get("adam_m"), sections.get("adam_v"))
+        counters = (meta.get("adam_step"), meta.get("epoch"))
+        if not (all(m is not None and m.shape == size for m in moments)
+                and all(type(c) is int and c >= 0 for c in counters)):
+            raise CheckpointError(f"{path}: missing or malformed optimizer state")
+        adam.m, adam.v = moments
+        adam.step_count = counters[0]
+    return weights, meta
+
+
+def load_model(checkpoint_path: str) -> tuple[WhamModel, dict]:
+    """Instantiate a model from a checkpoint; returns (model, meta)."""
+    weights, meta = _read_checkpoint(checkpoint_path)
     return WhamModel(weights), meta

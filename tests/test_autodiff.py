@@ -41,10 +41,16 @@ def leaf(shape, seed, scale=1.0):
     return ad.Tensor(rng.normal(0, scale, size=shape), requires_grad=True)
 
 
+UNARY = [ad.exp, ad.sigmoid, ad.relu, ad.sin, ad.square, ad.softplus, ad.cumsum]
+# Elementwise ops checked against finite differences by a test of their own:
+# the binary ones on broadcast operands, sqrt and arccos inside their domain.
+OWN_TEST = {ad.add: "test_binary_broadcast", ad.sub: "test_binary_broadcast",
+            ad.mul: "test_binary_broadcast", ad.div: "test_binary_broadcast",
+            ad.sqrt: "test_sqrt_positive", ad.arccos: "test_arccos_interior"}
+
+
 class TestElementwiseOps:
-    @pytest.mark.parametrize("op", [ad.exp, ad.sigmoid, ad.relu,
-                                    ad.sin, ad.square, ad.softplus,
-                                    ad.cumsum])
+    @pytest.mark.parametrize("op", UNARY)
     def test_unary(self, op):
         x = leaf((4, 5), 0, 0.8)
         check(lambda: ad.tsum(op(x)), [x])
@@ -74,6 +80,14 @@ class TestElementwiseOps:
         b = leaf((5,), 4)
         c = leaf((4, 1), 5)
         check(lambda: ad.tsum(a * b + a / (ad.square(c) + 2.0) - b), [a, b, c])
+
+    def test_every_constructed_op_has_a_gradient_test(self):
+        built = [op for op in vars(ad).values()
+                 if getattr(op, "__qualname__", "").startswith(("_unary.", "_binary."))]
+        assert built
+        assert all(hasattr(self, name) for name in OWN_TEST.values())
+        uncovered = [op.__name__ for op in built if op not in UNARY and op not in OWN_TEST]
+        assert not uncovered, f"no finite-difference gradient test: {uncovered}"
 
     def test_clip_gradient_masks(self):
         x = ad.Tensor(np.array([[-2.0, 0.5, 3.0]]), requires_grad=True)

@@ -17,7 +17,7 @@ from whamkit.errors import CheckpointError, InvalidInputError
 from whamkit.evaluate import infer_bundle
 from whamkit.losses import LossWeights
 from whamkit.model import ModelDims
-from whamkit.optim import MAGIC, VERSION, load_checkpoint
+from whamkit.optim import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from whamkit.train import load_model
 
 from tests.conftest import fail_atomic_writes, read_metrics_csv
@@ -109,6 +109,11 @@ class TestSynthCommand:
         manifest = ds.read_manifest(out)
         assert manifest["count"] == 0
 
+    def test_negative_count_is_usage_error(self, tmp_path):
+        out = tmp_path / "neg"
+        assert run_cli("synth", "--out", str(out), "--count", "-3") == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["focal=abc", "seq_len=1.5", "gait_weights=1",
                                          "gait_weights=1,-1,1,1", "gait_weights=0,0,0,0",
                                          "no_such_key=1", "focal"])
@@ -194,6 +199,42 @@ class TestTrainCommands:
         rc = run_cli("pretrain", "--dataset", str(tmp_path / "nope"),
                      "--out-dir", str(tmp_path / "o"), "--epochs", "1")
         assert rc == 3
+
+    @pytest.mark.parametrize("fault", ["params 5 short", "no optimizer state",
+                                       "adam_v 1 short", "no epoch"])
+    @pytest.mark.parametrize("stage", ["pretrain --resume", "finetune --init"])
+    def test_faulty_checkpoint_exit_code(self, workspace, tmp_path, capsys, stage, fault):
+        """Training reads a checkpoint as eval does: a file that does not
+        fit exits 3. Only a resume reads the optimizer state and epoch."""
+        _, data = workspace
+        out = tmp_path / "run"
+        common = ("--dataset", str(data), "--out-dir", str(out), "--seed", "3", *SMALL_MODEL)
+        assert run_cli("pretrain", *common, "--epochs", "0") == 0
+        path = out / "pretrain.ckpt"
+        damage_checkpoint(path, fault)
+        if stage == "finetune --init":
+            rc = run_cli("finetune", *common, "--epochs", "1", "--init", str(path))
+        else:
+            rc = run_cli("pretrain", *common, "--epochs", "1", "--resume")
+        if stage == "finetune --init" and fault != "params 5 short":
+            assert rc == 0
+        else:
+            assert rc == 3
+            assert str(path) in capsys.readouterr().err
+
+
+def damage_checkpoint(path, fault: str) -> None:
+    """Rewrite a training checkpoint with one part missing or short."""
+    dims, meta, sections = load_checkpoint(path)
+    if fault == "params 5 short":
+        sections["params"] = sections["params"][:-5]
+    elif fault == "no optimizer state":
+        del sections["adam_m"], sections["adam_v"]
+    elif fault == "adam_v 1 short":
+        sections["adam_v"] = sections["adam_v"][:-1]
+    else:
+        del meta["epoch"]
+    save_checkpoint(path, dims, sections.pop("params"), meta=meta, extra_sections=sections)
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +395,10 @@ class TestEvalCommand:
          "sections": [{"name": "params", "count": 2}]},
         {"dims": {}, "meta": {}, "sections": [{"name": "params", "count": -1}]},
         {"dims": {"hidden": 8}, "meta": {}, "sections": [{"name": "params", "count": 2}]},
-    ], ids=["no sections", "a list", "unknown dims key", "negative count", "params misfit"])
+        {"dims": {}, "meta": {}, "sections": [{"name": "params", "count": float("inf")}]},
+        {"dims": {}, "meta": {}, "sections": [{"name": "params", "count": 1e300}]},
+    ], ids=["no sections", "a list", "unknown dims key", "negative count", "params misfit",
+            "infinite count", "float count"])
     def test_malformed_checkpoint_header_exit_code(self, workspace, tmp_path, capsys, header):
         _, data = workspace
         blob = json.dumps(header).encode()
@@ -445,6 +489,14 @@ class TestBenchCommand:
         for mode in report["batch_modes"].values():
             assert "median_s" in mode and "frames_per_s" in mode
             assert len(mode["samples_s"]) == 3
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--frames", "-2")])
+    def test_out_of_range_count_is_usage_error(self, trained, tmp_path, flag, value):
+        _, run = trained
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--checkpoint", str(run / "finetune.ckpt"), "--frames", "4",
+                       "--runs", "1", flag, value, "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_failed_write_keeps_previous_report(self, trained, tmp_path, monkeypatch):
         _, run = trained

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from whamkit import optim
 from whamkit.errors import CheckpointError, InvalidInputError
@@ -149,6 +149,11 @@ class TestCheckpoint:
         | st.dictionaries(st.sampled_from(["dims", "meta", "sections", "name", "count"]),
                           inner, max_size=4),
         max_leaves=12))
+    # Counts that JSON reads as floats: Infinity, and 1e300, which is far
+    # past any index-sized integer.
+    @example(header={"dims": {}, "meta": {},
+                     "sections": [{"name": "params", "count": float("inf")}]})
+    @example(header={"dims": {}, "meta": {}, "sections": [{"name": "params", "count": 1e300}]})
     def test_any_header_loads_or_raises_checkpoint_error(self, tmp_path, header):
         """Whatever JSON the header holds, loading returns or raises
         CheckpointError, never another exception."""

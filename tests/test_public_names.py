@@ -2,9 +2,10 @@
 its tests, in src/ or in the benchmark's program files. Code that only its
 tests call belongs in the tests.
 
-A top-level function or class counts as used when it is imported by name
-from its module, referenced as <module alias>.<name>, or named inside its
-own module. Matching the bare word would let numpy's np.log stand in for a
+A top-level function, class or constructed op counts as used when it is
+imported by name from its module, referenced as <module alias>.<name>, or
+read inside its own module; the assignment that binds it is no use.
+Matching the bare word would let numpy's np.log stand in for a
 package-level log. A method counts as used when its name appears as a word
 anywhere besides its definitions."""
 
@@ -27,12 +28,26 @@ def module_name(path: str) -> str:
     return os.path.basename(path)[:-3]
 
 
+def constructed_names(node: ast.stmt) -> list[str]:
+    """The public names a top-level assignment binds to a call of a private
+    constructor, as in exp = _unary(np.exp, ...)."""
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id.startswith("_")):
+        return []
+    return [t.id for t in node.targets
+            if isinstance(t, ast.Name) and not t.id.startswith("_")]
+
+
 def public_definitions():
     """(module, qualified name, name, is a method) of each public top-level
-    function or class and each public method of a top-level class."""
+    function or class, each public method of a top-level class, and each
+    public name bound to a private constructor's result."""
     for path in PACKAGE:
         module = module_name(path)
         for node in ast.parse(open(path).read()).body:
+            for name in constructed_names(node):
+                yield module, f"{module}.{name}", name, False
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
@@ -81,7 +96,8 @@ def top_level_uses() -> set[tuple[str, str]]:
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases):
                 used.add((aliases[node.value.id], node.attr))
-            elif isinstance(node, ast.Name) and own is not None:
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and own is not None):
                 used.add((own, node.id))
     return used
 
