@@ -2,9 +2,12 @@
 
 A Tensor wraps an ndarray and, while gradients are enabled, records a
 backward closure and its parents on a tape. Calling backward() on a scalar
-accumulates gradients into every reachable Tensor with requires_grad set.
-Inside no_grad() the same ops run without building the tape, which is the
-inference fast path.
+accumulates gradients into every reachable leaf with requires_grad set.
+backward() consumes the tape: each node drops its gradient, closure and
+parents as soon as its own backward has run, so the arrays a node saved
+for backward are freed along the way and only leaves keep .grad. A second
+backward() through a consumed node raises ValueError. Inside no_grad() the
+same ops run without building the tape, which is the inference fast path.
 
 An elementwise op is its forward function plus its backward formula:
 _unary(fn, bw) and _binary(fn, bw) build the op, and the op records one
@@ -58,7 +61,12 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Reverse accumulation from a scalar output."""
+        """Reverse accumulation from a scalar output into the leaves.
+
+        Consumes the tape: once a node has passed its gradient on, its
+        .grad, backward closure and parents are dropped, so only leaves
+        keep .grad and a second backward() through any node of this tape
+        raises ValueError."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = []
@@ -77,7 +85,8 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._bw is None:
                 continue
             grads = node._bw(node.grad)
@@ -85,6 +94,7 @@ class Tensor:
                 if g is None or not p.requires_grad:
                     continue
                 p.grad = g if p.grad is None else p.grad + g
+            node.grad, node._bw, node._parents = None, _consumed, ()
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -114,6 +124,11 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+def _consumed(g):
+    """The backward of a node whose backward has already run."""
+    raise ValueError("backward() already ran through this tape")
 
 
 def as_tensor(x) -> Tensor:

@@ -68,6 +68,21 @@ class ModelDims:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def param_count(self) -> int:
+        """The length of WhamParams(self).params in closed form, layer by
+        layer in its registration order, so a checkpoint's size can be
+        checked before any weights are drawn."""
+        h, f = self.hidden, self.feature_dim
+        gru = lambda d: 3 * (d * h + h * h + h)
+        dense = lambda i, o: i * o + o
+        return (gru(ENCODER_INPUT_DIM) + dense(h, POSE_DIM)
+                + dense(h + f, self.integrator_hidden) + dense(self.integrator_hidden, h)
+                + gru(h) + dense(h, POSE_DIM) + dense(h, 4) + dense(h, 3)
+                + dense(h, NUM_BONES) + dense(h, 6)
+                + gru(h + 3 * OMEGA_TILE) + dense(h, 9)
+                + gru(h + 9) + dense(h, 9)
+                + dense(POSE_DIM, self.init_hidden) + dense(self.init_hidden, 2 * h))
+
 
 class WhamParams:
     """All learnable weights, registered in one flat-viewable ParamSet."""

@@ -185,6 +185,32 @@ class TestEngine:
         ad.tsum(y).backward()
         assert a.grad.item() == pytest.approx(4.0)
 
+    def test_backward_frees_the_tape(self):
+        a, b = leaf((3, 4), 20), leaf((4,), 21)
+        s = ad.sigmoid(a)
+        m = s * b
+        loss = ad.tsum(m)
+        loss.backward()
+        assert a.grad.shape == (3, 4) and b.grad.shape == (4,)
+        for node in (s, m, loss):
+            assert node.grad is None and node._parents == ()
+
+    def test_second_backward_raises(self):
+        a = leaf((2, 2), 22)
+        loss = ad.tsum(ad.exp(a))
+        loss.backward()
+        first = a.grad.copy()
+        with pytest.raises(ValueError, match="already ran"):
+            loss.backward()
+        assert (a.grad == first).all()
+
+    def test_loss_sharing_a_consumed_subgraph_raises(self):
+        a = leaf((2, 2), 23)
+        shared = ad.sin(a)
+        ad.tsum(shared).backward()
+        with pytest.raises(ValueError, match="already ran"):
+            ad.tmean(shared * 2.0).backward()
+
 
 class TestRotops:
     def test_rotation6d_matches_numpy(self):

@@ -408,6 +408,23 @@ class TestEvalCommand:
                        "--out", str(tmp_path / "ev"), "--no-svg") == 3
         assert str(path) in capsys.readouterr().err
 
+    def test_oversized_dims_exit_before_drawing_weights(self, workspace, tmp_path,
+                                                        capsys, monkeypatch):
+        """A small file whose header claims hidden 1024 (23M weights) but
+        holds 2 values exits 3 on the size check, without drawing weights."""
+        _, data = workspace
+        header = {"dims": ModelDims(hidden=1024).to_dict(), "meta": {},
+                  "sections": [{"name": "params", "count": 2}]}
+        blob = json.dumps(header).encode()
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + bytes(16))
+        monkeypatch.setattr("whamkit.train.WhamParams",
+                            lambda *a, **k: pytest.fail("weights drawn before the size check"))
+        assert run_cli("eval", "--checkpoint", str(path), "--dataset", str(data),
+                       "--out", str(tmp_path / "ev"), "--no-svg") == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "expected 22885681" in err
+
     def test_eval_without_checkpoint_is_usage_error(self, workspace):
         _, data = workspace
         assert run_cli("eval", "--dataset", str(data), "--out", "/tmp/x_eval") == 2

@@ -127,15 +127,18 @@ class TestGruSequence:
                 states.append(h)
             hs = ad.stack(states, axis=0)
         ad.tsum(hs * ad.Tensor(probe)).backward()
-        grads = [xs.grad, h0.grad] + [p.grad for p in layer.weights]
+        # h0 is not a leaf, so its gradient is checked through the Dense
+        # weights it flows into.
+        grads = [xs.grad, init.w.grad, init.b.grad] + [p.grad for p in layer.weights]
         return hs.data, grads, layer
 
     def test_matches_composed_loop(self):
         got, got_grads, layer = self.run(fused=True)
         want, want_grads, _ = self.run(fused=False)
         assert np.abs(got - want).max() <= 1e-12
-        assert len(got_grads) == 11
-        names = ["xs", "h0"] + [f"{layer.name}.{k}_{g}" for g in "zrh" for k in "wub"]
+        assert len(got_grads) == 12
+        names = ["xs", "init.w", "init.b"] + [f"{layer.name}.{k}_{g}"
+                                              for g in "zrh" for k in "wub"]
         for name, a, b in zip(names, got_grads, want_grads):
             assert a.shape == b.shape, name
             assert np.abs(a - b).max() <= 1e-12, name
