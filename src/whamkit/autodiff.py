@@ -246,15 +246,6 @@ def concat(parts, axis=-1) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
 
-def stack(parts, axis=0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-
-    def bw(g):
-        return tuple(np.moveaxis(g, axis, 0)[i] for i in range(len(parts)))
-
-    return _node(np.stack([p.data for p in parts], axis=axis), tuple(parts), bw)
-
-
 # -- reductions ---------------------------------------------------------------
 
 def _spread(g, shape, axis, keepdims) -> np.ndarray:
@@ -302,14 +293,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # exp overflows to inf without a warning; the loss's per-term finite check
 # reports that inf as a NumericError naming the term.
 exp = _unary(np.errstate(over="ignore")(np.exp), lambda g, x, out: g * out)
-sqrt = _unary(np.sqrt, lambda g, x, out: g * 0.5 / out)
-square = _unary(lambda x: x * x, lambda g, x, out: g * 2.0 * x)
 sigmoid = _unary(_sigmoid, lambda g, x, out: g * out * (1.0 - out))
 # log(1 + exp(x)) without overflow; its gradient is sigmoid(x).
 softplus = _unary(lambda x: np.logaddexp(0.0, x), lambda g, x, out: g * _sigmoid(x))
 relu = _unary(lambda x: np.where(x > 0, x, 0.0), lambda g, x, out: g * (x > 0))
-arccos = _unary(np.arccos, lambda g, x, out: -g / np.sqrt(1.0 - x * x))
-sin = _unary(np.sin, lambda g, x, out: g * np.cos(x))
 
 
 def clip(a, lo=None, hi=None) -> Tensor:

@@ -81,15 +81,10 @@ def _init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _check_finite(x: Tensor, where: str) -> Tensor:
-    if not np.isfinite(x.data).all():
-        raise NumericError(f"non-finite values in {where}")
-    return x
-
-
 class Dense:
     """Affine layer y = x @ W + b on the last axis of a (..., in) input,
-    applied as one 2-D matmul over all leading rows."""
+    applied as one 2-D matmul over all leading rows and recorded as one
+    tape node with a hand-written backward."""
 
     def __init__(self, params: ParamSet, name: str, in_dim: int, out_dim: int,
                  rng: np.random.Generator):
@@ -98,9 +93,19 @@ class Dense:
         self.b = params.add(f"{name}.b", _init_uniform(rng, (out_dim,), in_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        rows = x if x.data.ndim == 2 else ad.reshape(x, (-1, x.shape[-1]))
-        y = _check_finite(ad.add(ad.matmul(rows, self.w), self.b), self.name)
-        return y if rows is x else ad.reshape(y, x.shape[:-1] + y.shape[-1:])
+        w, b = self.w, self.b
+        rows = x.data.reshape(-1, x.shape[-1])
+        y = rows @ w.data
+        y += b.data
+        if not np.isfinite(y).all():
+            raise NumericError(f"non-finite values in {self.name}")
+
+        def bw(g):
+            g = g.reshape(y.shape)
+            gx = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
+            return gx, rows.T @ g, g.sum(axis=0)
+
+        return ad._node(y.reshape(x.shape[:-1] + y.shape[-1:]), (x, w, b), bw)
 
 
 class DenseStack:

@@ -53,13 +53,30 @@ class LossWeights:
         return asdict(self)
 
 
-def _mean_sq_norm(diff: Tensor) -> Tensor:
-    """Mean over all leading axes of the squared norm over the last axis."""
-    return ad.tmean(ad.tsum(ad.square(diff), axis=-1))
+def _mean_sq_error(pred: Tensor, target, norm_axes: int = 1) -> Tensor:
+    """Mean over the leading axes of the squared norm of pred - target over
+    its last norm_axes axes (the plain squares when norm_axes is 0).
 
+    One tape node: its backward recomputes the difference, so the node
+    keeps no array of its own. The forward and the backward run the
+    operations of the composed subtract, square, sum and mean nodes in
+    their order, which keeps the value and the gradients bit-identical."""
+    pred, target = ad.as_tensor(pred), ad.as_tensor(target)
+    diff = pred.data - target.data
+    if norm_axes:
+        diff = diff.reshape(diff.shape[:diff.ndim - norm_axes] + (-1,))
+    sq = diff * diff
+    if norm_axes:
+        sq = sq.sum(axis=-1)
+    count = sq.size
 
-def _mean_sq(diff: Tensor) -> Tensor:
-    return ad.tmean(ad.square(diff))
+    def bw(g):
+        diff = pred.data - target.data
+        gd = g / count * 2.0 * diff
+        return (ad._unbroadcast(gd, pred.shape) if pred.requires_grad else None,
+                ad._unbroadcast(-gd, target.shape) if target.requires_grad else None)
+
+    return ad._node(sq.mean(), (pred, target), bw)
 
 
 def reprojection_loss(cam_points: Tensor, kp_px: np.ndarray, visible: np.ndarray,
@@ -79,14 +96,18 @@ def reprojection_loss(cam_points: Tensor, kp_px: np.ndarray, visible: np.ndarray
     z_safe = ad.clip(z, MIN_REPROJECTION_DEPTH, None)
     center = np.stack([cx, cy], axis=-1).reshape(1, b, 1, 2)
     pred = cam_points[..., :2] / z_safe * Tensor(focal.reshape(1, b, 1, 1)) + Tensor(center)
-    err = (pred - Tensor(kp_px)) * (1.0 / image_w)
     weights = visible.astype(float)[..., None]
     count = int(visible.sum())
     if count == 0:
-        return ad.tsum(err * 0.0), 0
-    sq = ad.tsum(ad.square(err) * Tensor(weights), axis=-1)
-    loss = ad.tsum(sq) * (1.0 / count)
-    hinge = _mean_sq(ad.relu(DEPTH_HINGE - z))
+        return ad.tsum((pred - Tensor(kp_px)) * (1.0 / image_w) * 0.0), 0
+    # The visibility-weighted squared error is one tape node: like
+    # _mean_sq_error, its backward recomputes the error, and its value and
+    # gradient are those of the composed ops bit for bit.
+    scale, norm = 1.0 / image_w, 1.0 / count
+    err = (pred.data - kp_px) * scale
+    loss = ad._node(((err * err) * weights).sum(axis=-1).sum() * norm, (pred,),
+                    lambda g: (g * norm * weights * 2.0 * ((pred.data - kp_px) * scale) * scale,))
+    hinge = _mean_sq_error(ad.relu(DEPTH_HINGE - z), 0.0, norm_axes=0)
     return loss + hinge, count
 
 
@@ -110,7 +131,7 @@ def foot_sliding_loss(foot_velocities: Tensor, contact_truth: np.ndarray) -> Ten
     contact_truth (T-1, B, 4) masks it before squaring.
     """
     masked = foot_velocities * Tensor(contact_truth[..., None])
-    return _mean_sq_norm(masked)
+    return _mean_sq_error(masked, 0.0)
 
 
 def predicted_camera_rotation(out: ForwardOutputs) -> Tensor:
@@ -131,10 +152,11 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
     pose_t = Tensor(truth["local_pose"])
 
     terms: dict[str, Tensor] = {}
-    terms["pose"] = _mean_sq_norm(out.local_pose - pose_t)
-    terms["shape"] = _mean_sq(out.bone_scales - Tensor(truth["bone_scales"][None, :, :]))
-    terms["kp3d"] = _mean_sq_norm(out.kp3d_cascade - pose_t) + terms["pose"]
-    terms["cascade"] = _mean_sq_norm(out.kp3d_cascade - out.local_pose)
+    terms["pose"] = _mean_sq_error(out.local_pose, pose_t)
+    terms["shape"] = _mean_sq_error(out.bone_scales, truth["bone_scales"][None, :, :],
+                                    norm_axes=0)
+    terms["kp3d"] = _mean_sq_error(out.kp3d_cascade, pose_t) + terms["pose"]
+    terms["cascade"] = _mean_sq_error(out.kp3d_cascade, out.local_pose)
 
     cam_pts = (ad.matmul(out.local_pose[:, :, :NUM_KEYPOINTS_2D, :],
                          ad.swap_last(out.cam_root_rot))
@@ -143,21 +165,19 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
                                          truth["focal"], truth["cx"], truth["cy"],
                                          truth["image_w"])
 
-    # A (T, B, 3, 3) rotation difference as (T, B, 9) rows, whose squared
-    # norm is the squared Frobenius norm.
-    rows = lambda diff: ad.reshape(diff, (t, b, 9))
+    # Rotation terms take the squared Frobenius norm over the last two axes.
     rot_t = Tensor(truth["root_rot"])
     vel_t = Tensor(truth["root_vel"])
-    terms["root_rot"] = (_mean_sq_norm(rows(out.root_rot0 - rot_t))
-                         + _mean_sq_norm(rows(out.root_rot - rot_t)))
-    terms["root_vel"] = _mean_sq_norm(out.vel0 - vel_t) + _mean_sq_norm(out.vel - vel_t)
+    terms["root_rot"] = (_mean_sq_error(out.root_rot0, rot_t, norm_axes=2)
+                         + _mean_sq_error(out.root_rot, rot_t, norm_axes=2))
+    terms["root_vel"] = _mean_sq_error(out.vel0, vel_t) + _mean_sq_error(out.vel, vel_t)
     terms["contact"] = contact_loss(out.contact_logit, truth["contacts"])
 
     cam_rot_pred = predicted_camera_rotation(out)
-    terms["cam_rot"] = _mean_sq_norm(rows(cam_rot_pred - Tensor(truth["cam_rot"])))
+    terms["cam_rot"] = _mean_sq_error(cam_rot_pred, truth["cam_rot"], norm_axes=2)
     rel = ad.matmul(ad.swap_last(cam_rot_pred[:-1]), cam_rot_pred[1:])
     omega_pred = rotops.so3_log(rel)
-    terms["ang_vel"] = _mean_sq_norm(omega_pred - Tensor(truth["omega"][1:]))
+    terms["ang_vel"] = _mean_sq_error(omega_pred, truth["omega"][1:])
 
     feet_w = (ad.matmul(out.local_pose[:, :, FOOT_SLICE, :], ad.swap_last(out.root_rot))
               + ad.reshape(out.root_pos, (t, b, 1, 3)))

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import suppress
 
 import numpy as np
 
 from . import dataset as ds
 from .config import RunConfig
 from .errors import CheckpointError, InvalidInputError
+from .fileio import atomic_write
 from .gradcheck import forward_backward
 from .losses import LossWeights, total_loss
 from .model import ModelDims, WhamModel, WhamParams
@@ -97,8 +99,15 @@ class TrainingModule:
 
 
 def _append_log(path, epoch: int, breakdown: dict, fresh: bool) -> None:
-    mode = "w" if fresh else "a"
-    with open(path, mode, newline="") as fh:
+    """Add one epoch's rows to the loss log; fresh starts a new log with its
+    header. The whole file is rewritten through fileio.atomic_write, so a
+    write that fails partway leaves the previous rows intact."""
+    previous = ""
+    if not fresh:
+        with suppress(FileNotFoundError), open(path, newline="") as fh:
+            previous = fh.read()
+    with atomic_write(path, newline="") as fh:
+        fh.write(previous)
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(["epoch", "term", "value"])

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from whamkit import dataset as ds, fileio, geom, metrics
+import whamkit.autodiff as ad
+from whamkit import dataset as ds, fileio, geom, losses, metrics
 from whamkit.constants import CAMERA_BASE
 from whamkit.losses import LossWeights
 from whamkit.model import ModelDims, WhamModel, WhamParams
@@ -180,3 +181,93 @@ def fail_atomic_writes(monkeypatch, limit: int = 100) -> None:
     """Make every fileio.atomic_write file fail after `limit` bytes."""
     monkeypatch.setattr(fileio, "open", lambda *a, **k: FailingFile(open(*a, **k), limit),
                         raising=False)
+
+
+# -- composed autodiff references -------------------------------------------
+# The package records a Dense layer, each squared-error loss term, the 6D
+# rotation decode and the SO(3) log as one tape node each. These compose the
+# same math from one node per elementwise op, and the tests compare the
+# fused kernels against them.
+
+square = ad._unary(lambda x: x * x, lambda g, x, out: g * 2.0 * x)
+sqrt = ad._unary(np.sqrt, lambda g, x, out: g * 0.5 / out)
+arccos = ad._unary(np.arccos, lambda g, x, out: -g / np.sqrt(1.0 - x * x))
+sin = ad._unary(np.sin, lambda g, x, out: g * np.cos(x))
+for _op, _name in ((square, "square"), (sqrt, "sqrt"), (arccos, "arccos"), (sin, "sin")):
+    _op.__name__ = _name
+del _op, _name
+
+
+def stack(parts, axis=0):
+    """np.stack as a tape node."""
+    parts = [ad.as_tensor(p) for p in parts]
+
+    def bw(g):
+        return tuple(np.moveaxis(g, axis, 0)[i] for i in range(len(parts)))
+
+    return ad._node(np.stack([p.data for p in parts], axis=axis), tuple(parts), bw)
+
+
+def composed_dense(layer, x):
+    """layer(x) as reshape, matmul, bias add and reshape nodes."""
+    rows = x if x.data.ndim == 2 else ad.reshape(x, (-1, x.shape[-1]))
+    y = ad.add(ad.matmul(rows, layer.w), layer.b)
+    return y if rows is x else ad.reshape(y, x.shape[:-1] + y.shape[-1:])
+
+
+def composed_mean_sq_error(pred, target, norm_axes=1):
+    """losses._mean_sq_error as subtract, reshape, square, sum and mean nodes."""
+    diff = pred - target
+    if norm_axes:
+        diff = ad.reshape(diff, diff.shape[:diff.data.ndim - norm_axes] + (-1,))
+        return ad.tmean(ad.tsum(square(diff), axis=-1))
+    return ad.tmean(square(diff))
+
+
+def composed_reprojection_loss(cam_points, kp_px, visible, focal, cx, cy, image_w):
+    """losses.reprojection_loss with its weighted squared error as
+    subtract, scale, square, weight, sum and normalize nodes."""
+    b = cam_points.shape[1]
+    z = cam_points[..., 2:3]
+    z_safe = ad.clip(z, losses.MIN_REPROJECTION_DEPTH, None)
+    center = np.stack([cx, cy], axis=-1).reshape(1, b, 1, 2)
+    pred = (cam_points[..., :2] / z_safe * ad.Tensor(focal.reshape(1, b, 1, 1))
+            + ad.Tensor(center))
+    err = (pred - ad.Tensor(kp_px)) * (1.0 / image_w)
+    sq = ad.tsum(square(err) * ad.Tensor(visible.astype(float)[..., None]), axis=-1)
+    loss = ad.tsum(sq) * (1.0 / int(visible.sum()))
+    hinge = composed_mean_sq_error(ad.relu(losses.DEPTH_HINGE - z), 0.0, norm_axes=0)
+    return loss + hinge
+
+
+def cross(a, b):
+    """Cross product over the trailing axis of (..., 3) tensors."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
+def composed_rotation6d_to_matrix(v):
+    """rotops.rotation6d_to_matrix as one node per elementwise op."""
+    a1 = v[..., 0:3]
+    a2 = v[..., 3:6]
+    n1 = ad.clip(sqrt(ad.tsum(square(a1), axis=-1, keepdims=True)), 1e-12, None)
+    b1 = a1 / n1
+    dot = ad.tsum(b1 * a2, axis=-1, keepdims=True)
+    u2 = a2 - dot * b1
+    n2 = ad.clip(sqrt(ad.tsum(square(u2), axis=-1, keepdims=True)), 1e-12, None)
+    b2 = u2 / n2
+    b3 = cross(b1, b2)
+    return stack([b1, b2, b3], axis=-1)
+
+
+def composed_so3_log(rel):
+    """rotops.so3_log as one node per elementwise op."""
+    tr = ad.tsum(rel[..., [0, 1, 2], [0, 1, 2]], axis=-1, keepdims=True)
+    c = (tr - 1.0) * 0.5
+    u = 1.0 - c
+    small = u.data < 1e-6
+    s_small = 0.5 + u * (1.0 / 6.0) + square(u) * (1.0 / 15.0)
+    theta = arccos(ad.clip(c, -1.0 + 1e-7, 1.0 - 1e-7))
+    s_large = theta / (2.0 * sin(theta))
+    s = ad.where(small, s_small, s_large)
+    vee = rel[..., [2, 0, 1], [1, 2, 0]] - rel[..., [1, 2, 0], [2, 0, 1]]
+    return vee * s

@@ -30,7 +30,8 @@ from whamkit.model import (WhamModel, WhamParams, adjust_velocity,
                            extract_velocities, rollout_np)
 from whamkit.bench import run_bench
 from whamkit.train import TrainingModule, load_model, run_training
-from tests.conftest import TOY_DIMS, camera_pitch_roll, read_metrics_csv, toy_bundles
+from tests.conftest import (TOY_DIMS, camera_pitch_roll, read_metrics_csv, square,
+                            stack, toy_bundles)
 from whamkit.train import build_batch, make_chunks
 
 DESK_SEED = 42
@@ -103,7 +104,7 @@ class SmallDense:
 
     def loss(self, _):
         d = self.layer(Tensor(self.x)) - Tensor(self.y)
-        return ad.tmean(ad.square(d))
+        return ad.tmean(square(d))
 
 
 class SmallStack:
@@ -115,7 +116,7 @@ class SmallStack:
 
     def loss(self, _):
         d = self.stack(Tensor(self.x)) - Tensor(self.y)
-        return ad.tmean(ad.square(d))
+        return ad.tmean(square(d))
 
 
 class SmallGru:
@@ -132,7 +133,7 @@ class SmallGru:
         for t in range(4):
             h = self.cell.step(Tensor(self.x[t]), h)
             outs.append(self.head(h))
-        return ad.tmean(ad.square(ad.stack(outs, axis=0) - Tensor(self.y)))
+        return ad.tmean(square(stack(outs, axis=0) - Tensor(self.y)))
 
 
 def test_criterion_1_gradient_suite():

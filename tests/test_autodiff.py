@@ -7,6 +7,10 @@ import whamkit.autodiff as ad
 import whamkit.rotops as rotops
 from whamkit import geom
 
+from tests.conftest import (arccos, composed_rotation6d_to_matrix, composed_so3_log, sin,
+                            sqrt, square, stack)
+from tests.test_trace_targets import load_spans
+
 
 def fd_grad(fn, tensors, delta=1e-6):
     """Central finite differences of a scalar function of Tensors."""
@@ -41,12 +45,13 @@ def leaf(shape, seed, scale=1.0):
     return ad.Tensor(rng.normal(0, scale, size=shape), requires_grad=True)
 
 
-UNARY = [ad.exp, ad.sigmoid, ad.relu, ad.sin, ad.square, ad.softplus, ad.cumsum]
+# sin, square, sqrt and arccos are the reference ops of tests/conftest.py.
+UNARY = [ad.exp, ad.sigmoid, ad.relu, sin, square, ad.softplus, ad.cumsum]
 # Elementwise ops checked against finite differences by a test of their own:
 # the binary ones on broadcast operands, sqrt and arccos inside their domain.
 OWN_TEST = {ad.add: "test_binary_broadcast", ad.sub: "test_binary_broadcast",
             ad.mul: "test_binary_broadcast", ad.div: "test_binary_broadcast",
-            ad.sqrt: "test_sqrt_positive", ad.arccos: "test_arccos_interior"}
+            sqrt: "test_sqrt_positive", arccos: "test_arccos_interior"}
 
 
 class TestElementwiseOps:
@@ -69,17 +74,17 @@ class TestElementwiseOps:
 
     def test_sqrt_positive(self):
         x = ad.Tensor(np.random.default_rng(1).uniform(0.5, 2.0, (3, 4)), requires_grad=True)
-        check(lambda: ad.tsum(ad.sqrt(x)), [x])
+        check(lambda: ad.tsum(sqrt(x)), [x])
 
     def test_arccos_interior(self):
         x = ad.Tensor(np.random.default_rng(2).uniform(-0.8, 0.8, (3, 4)), requires_grad=True)
-        check(lambda: ad.tsum(ad.arccos(x)), [x])
+        check(lambda: ad.tsum(arccos(x)), [x])
 
     def test_binary_broadcast(self):
         a = leaf((4, 5), 3)
         b = leaf((5,), 4)
         c = leaf((4, 1), 5)
-        check(lambda: ad.tsum(a * b + a / (ad.square(c) + 2.0) - b), [a, b, c])
+        check(lambda: ad.tsum(a * b + a / (square(c) + 2.0) - b), [a, b, c])
 
     def test_every_constructed_op_has_a_gradient_test(self):
         built = [op for op in vars(ad).values()
@@ -99,21 +104,21 @@ class TestElementwiseOps:
         a = leaf((6,), 6)
         b = leaf((6,), 7)
         cond = np.array([True, False, True, True, False, False])
-        check(lambda: ad.tsum(ad.square(ad.where(cond, a, b))), [a, b])
+        check(lambda: ad.tsum(square(ad.where(cond, a, b))), [a, b])
 
 
 class TestMatmul:
     def test_2d(self):
         a, b = leaf((3, 4), 8), leaf((4, 2), 9)
-        check(lambda: ad.tsum(ad.square(ad.matmul(a, b))), [a, b])
+        check(lambda: ad.tsum(square(ad.matmul(a, b))), [a, b])
 
     def test_batched(self):
         a, b = leaf((5, 3, 4), 10), leaf((5, 4, 2), 11)
-        check(lambda: ad.tsum(ad.square(ad.matmul(a, b))), [a, b])
+        check(lambda: ad.tsum(square(ad.matmul(a, b))), [a, b])
 
     def test_broadcast_batch_times_2d(self):
         a, b = leaf((5, 3, 4), 12), leaf((4, 2), 13)
-        check(lambda: ad.tsum(ad.square(ad.matmul(a, b))), [a, b])
+        check(lambda: ad.tsum(square(ad.matmul(a, b))), [a, b])
 
     def test_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -129,8 +134,8 @@ class TestShapeOps:
             top = x[0]
             rest = x[1, :, 0:3]
             joined = ad.concat([top, ad.concat([rest, rest], axis=1)], axis=0)
-            piled = ad.stack([joined, joined * 2.0], axis=0)
-            return ad.tsum(ad.square(piled))
+            piled = stack([joined, joined * 2.0], axis=0)
+            return ad.tsum(square(piled))
 
         check(fn, [a])
 
@@ -140,16 +145,16 @@ class TestShapeOps:
         np.testing.assert_array_equal(a.grad, [2.0, 0.0, 1.0])
 
         b = leaf((2, 3, 3), 16)
-        check(lambda: ad.tsum(ad.square(b[..., [0, 2, 0, 1], [1, 1, 1, 0]])), [b])
-        check(lambda: ad.tsum(ad.square(b[:, [2, 2, 0], :] * b[..., [0, 0, 1]])), [b])
+        check(lambda: ad.tsum(square(b[..., [0, 2, 0, 1], [1, 1, 1, 0]])), [b])
+        check(lambda: ad.tsum(square(b[:, [2, 2, 0], :] * b[..., [0, 0, 1]])), [b])
 
     def test_swap_last(self):
         a = leaf((3, 4, 5), 15)
-        check(lambda: ad.tsum(ad.square(ad.matmul(ad.swap_last(a), a))), [a])
+        check(lambda: ad.tsum(square(ad.matmul(ad.swap_last(a), a))), [a])
 
     def test_reductions(self):
         a = leaf((3, 4, 5), 16)
-        check(lambda: ad.tmean(a) + ad.tsum(ad.square(ad.tmean(a, axis=1)))
+        check(lambda: ad.tmean(a) + ad.tsum(square(ad.tmean(a, axis=1)))
               + ad.tsum(ad.tsum(a, axis=(0,), keepdims=True)), [a])
 
     def test_reused_node_accumulates(self):
@@ -206,7 +211,7 @@ class TestEngine:
 
     def test_loss_sharing_a_consumed_subgraph_raises(self):
         a = leaf((2, 2), 23)
-        shared = ad.sin(a)
+        shared = sin(a)
         ad.tsum(shared).backward()
         with pytest.raises(ValueError, match="already ran"):
             ad.tmean(shared * 2.0).backward()
@@ -230,7 +235,7 @@ class TestRotops:
 
     def test_rotation6d_gradient(self):
         v = leaf((4, 6), 21)
-        check(lambda: ad.tsum(ad.square(rotops.rotation6d_to_matrix(v))), [v], tol=1e-5)
+        check(lambda: ad.tsum(square(rotops.rotation6d_to_matrix(v))), [v], tol=1e-5)
 
     def test_so3_log_matches_numpy(self):
         rng = np.random.default_rng(22)
@@ -249,7 +254,7 @@ class TestRotops:
 
         def fn():
             r = rotops.rotation6d_to_matrix(x)
-            return ad.tsum(ad.square(rotops.so3_log(r)))
+            return ad.tsum(square(rotops.so3_log(r)))
 
         check(fn, [x], tol=2e-5)
 
@@ -259,3 +264,87 @@ class TestRotops:
         v = rotops.matrix_to_6d(ad.Tensor(rots))
         back = rotops.rotation6d_to_matrix(v).data
         assert np.abs(back - rots).max() < 1e-12
+
+
+def value_and_grad(fn, data, probe):
+    """fn of a leaf holding data, and the leaf's gradient of sum(fn * probe)."""
+    x = ad.Tensor(data.copy(), requires_grad=True)
+    out = fn(x)
+    ad.tsum(out * ad.Tensor(probe)).backward()
+    return out.data, x.grad
+
+
+def assert_matches_composed(fused, composed, data, seed=0):
+    """Values bit-identical to the composed reference, gradients within
+    1e-12 of it. Inputs at the norm clip have gradients near 1e12, where
+    one rounding step is about 1e-4, so the bound scales with the largest
+    gradient once that exceeds 1."""
+    probe = np.random.default_rng(seed).normal(size=fused(ad.Tensor(data)).shape)
+    got, got_grad = value_and_grad(fused, data, probe)
+    want, want_grad = value_and_grad(composed, data, probe)
+    assert np.array_equal(got, want)
+    assert np.abs(got_grad - want_grad).max() <= 1e-12 * max(1.0, np.abs(want_grad).max())
+
+
+def six_d_cases():
+    rng = np.random.default_rng(30)
+    v = rng.normal(size=(12, 6))
+    tiny_a1, near_floor, parallel = v.copy(), v.copy(), v.copy()
+    tiny_a1[:4, :3] *= 1e-13                   # |a1| clipped at 1e-12
+    near_floor[:4, :3] *= 1e-11                # |a1| just above the clip
+    parallel[:4, 3:] = 2.0 * parallel[:4, :3] + 1e-14 * rng.normal(size=(4, 3))
+    return {"random": v, "a1_clipped": tiny_a1, "a1_near_floor": near_floor,
+            "a2_parallel_to_a1": parallel,
+            "identity": np.tile(rotops.IDENTITY_6D, (3, 1))}
+
+
+def so3_cases():
+    rng = np.random.default_rng(31)
+    axes = rng.normal(size=(12, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    # pi - 1e-8 rounds cos(theta) to -1, inside the clamp; pi - 1e-2 does not.
+    near_pi = (np.pi - np.geomspace(1e-8, 1e-2, 12))[:, None]
+    return {"random": geom.exp_so3(rng.normal(0, 1.0, size=(2, 6, 3))),
+            "small_angle": geom.exp_so3(rng.normal(0, 1e-5, size=(12, 3))),
+            "near_pi": geom.exp_so3(axes * near_pi),
+            "identity": np.tile(np.eye(3), (3, 1, 1))}
+
+
+class TestFusedRotops:
+    """rotation6d_to_matrix and so3_log are one tape node each, with the
+    values of the composed autodiff chains they replace."""
+
+    @pytest.mark.parametrize("case", list(six_d_cases()))
+    def test_rotation6d_matches_composed_reference(self, case):
+        assert_matches_composed(rotops.rotation6d_to_matrix, composed_rotation6d_to_matrix,
+                                six_d_cases()[case])
+
+    @pytest.mark.parametrize("case", list(so3_cases()))
+    def test_so3_log_matches_composed_reference(self, case):
+        assert_matches_composed(rotops.so3_log, composed_so3_log, so3_cases()[case])
+
+    def test_so3_log_cases_reach_both_branches_and_the_clamp(self):
+        cases = so3_cases()
+        cos = lambda r: (np.trace(r, axis1=-2, axis2=-1) - 1.0) * 0.5
+        assert (1.0 - cos(cases["small_angle"]) < 1e-6).all()
+        assert (cos(cases["near_pi"]) <= -1.0 + 1e-7).any()
+        assert (cos(cases["near_pi"]) > -1.0 + 1e-7).any()
+
+    def test_rotation6d_clip_case_is_clipped(self):
+        a1 = six_d_cases()["a1_clipped"][:4, :3]
+        assert (np.linalg.norm(a1, axis=-1) < 1e-12).all()
+
+    def test_rotation6d_zero_column_hint_has_a_finite_gradient(self):
+        """At an exactly zero a1 the clip holds the norm at 1e-12; the
+        composed chain's sqrt backward divided 0 by 0 there."""
+        v = ad.Tensor(np.array([[0.0, 0.0, 0.0, 0.0, 1.0, 0.0]]), requires_grad=True)
+        out = rotops.rotation6d_to_matrix(v)
+        ad.tsum(out * ad.Tensor(np.arange(9.0).reshape(1, 3, 3))).backward()
+        assert np.isfinite(v.grad).all()
+        np.testing.assert_array_equal(v.grad[0, :3], np.array([8.0, 3.0, 4.0]) / 1e-12)
+
+    @pytest.mark.parametrize("fn, shape", [(rotops.rotation6d_to_matrix, (5, 2, 6)),
+                                           (rotops.so3_log, (5, 2, 3, 3))])
+    def test_one_tape_node_per_call(self, fn, shape):
+        x = leaf(shape, 32)
+        assert load_spans().tape_size(fn(x))[0] == 1

@@ -7,6 +7,8 @@ from whamkit.gradcheck import (finite_difference_grads, forward_backward,
                                grad_check, relative_error)
 from whamkit.layers import Dense, GruLayer, ParamSet
 
+from tests.conftest import square, stack
+
 
 class LinearMse:
     """Half squared error of a single affine layer, the closed-form case."""
@@ -18,7 +20,7 @@ class LinearMse:
     def loss(self, batch):
         x, y = batch
         diff = self.layer(ad.Tensor(x)) - ad.Tensor(y)
-        return ad.tsum(ad.square(diff)) * 0.5
+        return ad.tsum(square(diff)) * 0.5
 
 
 class GruSeq:
@@ -37,8 +39,8 @@ class GruSeq:
         for t in range(x.shape[0]):
             h = self.cell.step(ad.Tensor(x[t]), h)
             outs.append(self.head(h))
-        pred = ad.stack(outs, axis=0)
-        return ad.tmean(ad.square(pred - ad.Tensor(y)))
+        pred = stack(outs, axis=0)
+        return ad.tmean(square(pred - ad.Tensor(y)))
 
 
 class GruKernel(GruSeq):
@@ -49,7 +51,7 @@ class GruKernel(GruSeq):
         t, b, _ = x.shape
         hs = self.cell.sequence(ad.Tensor(x))
         pred = ad.reshape(self.head(ad.reshape(hs, (t * b, 3))), (t, b, 1))
-        return ad.tmean(ad.square(pred - ad.Tensor(y)))
+        return ad.tmean(square(pred - ad.Tensor(y)))
 
 
 @pytest.fixture()

@@ -5,6 +5,9 @@ import whamkit.autodiff as ad
 from whamkit.errors import InvalidInputError, NumericError
 from whamkit.layers import Dense, DenseStack, GruLayer, ParamSet
 
+from tests.conftest import composed_dense, square, stack
+from tests.test_trace_targets import load_spans
+
 
 def make_gru(in_dim=2, hidden=3, seed=0):
     params = ParamSet()
@@ -125,7 +128,7 @@ class TestGruSequence:
             for t in range(self.T):
                 h = composed_step(layer, xs[t], h)
                 states.append(h)
-            hs = ad.stack(states, axis=0)
+            hs = stack(states, axis=0)
         ad.tsum(hs * ad.Tensor(probe)).backward()
         # h0 is not a leaf, so its gradient is checked through the Dense
         # weights it flows into.
@@ -176,11 +179,43 @@ class TestDense:
             xt = ad.Tensor(inp, requires_grad=True)
             y = layer(xt)
             assert y.shape == shape
-            ad.tsum(ad.square(y)).backward()
+            ad.tsum(square(y)).backward()
             grads.append((y.data.reshape(21, 9), xt.grad.reshape(21, 40),
                           layer.w.grad, layer.b.grad))
         for a, b in zip(*grads):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (4, 3, 5)])
+    def test_one_tape_node_per_call(self, shape):
+        params = ParamSet()
+        layer = Dense(params, "fc", 5, 2, np.random.default_rng(6))
+        y = layer(ad.Tensor(np.ones(shape), requires_grad=True))
+        assert y.shape == shape[:-1] + (2,)
+        assert load_spans().tape_size(y)[0] == 1
+
+    @pytest.mark.parametrize("shape", [(6, 5), (4, 3, 5)])
+    def test_matches_composed_reference_bit_for_bit(self, shape):
+        params = ParamSet()
+        layer = Dense(params, "fc", 5, 7, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=shape)
+        probe = ad.Tensor(rng.normal(size=shape[:-1] + (7,)))
+        results = []
+        for fn in (layer, lambda t: composed_dense(layer, t)):
+            params.zero_grads()
+            xt = ad.Tensor(x, requires_grad=True)
+            y = fn(xt)
+            ad.tsum(y * probe).backward()
+            results.append((y.data, xt.grad, layer.w.grad, layer.b.grad))
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+
+    def test_non_finite_output_names_the_layer(self):
+        params = ParamSet()
+        layer = Dense(params, "head.fc", 3, 2, np.random.default_rng(0))
+        layer.w.data[1, 0] = np.inf
+        with pytest.raises(NumericError, match="head.fc"):
+            layer(ad.Tensor(np.ones((2, 4, 3))))
 
     def test_stack_relu_hidden_linear_out(self):
         params = ParamSet()

@@ -12,9 +12,9 @@ from whamkit.losses import LossWeights
 from whamkit.model import ModelDims, WhamModel, WhamParams
 from whamkit.optim import load_checkpoint
 from whamkit.synth import SynthConfig
-from whamkit.train import (TrainingModule, _lr_scale, build_batch, load_model,
+from whamkit.train import (TrainingModule, _append_log, _lr_scale, build_batch, load_model,
                            make_chunks, run_training)
-from tests.conftest import TOY_DIMS, toy_bundles
+from tests.conftest import TOY_DIMS, fail_atomic_writes, toy_bundles
 
 
 class TestChunking:
@@ -153,3 +153,41 @@ class TestRunTraining:
                                        integrator_hidden=12, init_hidden=8)
         _, _, sections = load_checkpoint(path)
         assert (model.params.get_flat() == sections["params"]).all()
+
+
+class TestTrainLog:
+    EPOCH0 = {"total": 1.5, "pose": 0.1}
+    EPOCH1 = {"total": 1.0 / 3.0, "pose": 0.25}
+    FRESH = b"epoch,term,value\r\n0,pose,0.1\r\n0,total,1.5\r\n"
+    RESUMED = FRESH + b"1,pose,0.25\r\n1,total,0.3333333333333333\r\n"
+
+    def test_bytes_of_a_fresh_and_a_resumed_stage(self, tmp_path):
+        path = tmp_path / "train_log.csv"
+        _append_log(path, 0, self.EPOCH0, fresh=True)
+        assert path.read_bytes() == self.FRESH
+        _append_log(path, 1, self.EPOCH1, fresh=False)
+        assert path.read_bytes() == self.RESUMED
+        _append_log(path, 0, self.EPOCH0, fresh=True)
+        assert path.read_bytes() == self.FRESH
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_failed_write_keeps_the_previous_log(self, tmp_path, monkeypatch, fresh):
+        path = tmp_path / "train_log.csv"
+        _append_log(path, 0, self.EPOCH0, fresh=True)
+        fail_atomic_writes(monkeypatch, limit=len(self.FRESH) + 5)
+        with pytest.raises(OSError):
+            _append_log(path, 1, self.EPOCH1, fresh=fresh)
+        assert path.read_bytes() == self.FRESH
+        assert os.listdir(tmp_path) == ["train_log.csv"]
+
+    def test_resumed_run_keeps_the_earlier_rows(self, tmp_path, tiny_dataset):
+        cfg = tiny_cfg(tiny_dataset, str(tmp_path / "run"))
+        run_training(cfg, "pretrain")
+        log = tmp_path / "run" / "train_log.csv"
+        before = log.read_bytes()
+        run_training(tiny_cfg(tiny_dataset, str(tmp_path / "run"), epochs=3), "pretrain",
+                     resume=True)
+        after = log.read_bytes()
+        assert after.startswith(before)
+        rows = list(csv.reader(after[len(before):].decode().splitlines()))
+        assert {row[0] for row in rows} == {"2"} and len(rows) == before.count(b"\n0,")
