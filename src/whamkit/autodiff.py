@@ -15,6 +15,14 @@ node whose backward is bw(g, x, out) or bw(g, x, y), the latter summed back
 to each operand's shape. matmul, the masked ops (where, clip), the shape
 ops and the reductions write their node by hand.
 
+Other modules write whole stages as one node each through _node, with a
+backward that reads only what that stage needs, so the tape keeps no
+intermediate of theirs: layers.Dense and layers.GruLayer.sequence (whose
+inputs may come as parts, never joined on the tape), model.center_pose
+and WhamModel.integrate, rotops.rotation6d_to_matrix and rotops.so3_log,
+and in losses each squared-error term, the reprojection error and the
+weighted total.
+
 Supported shapes are ndim >= 2 for matmul (including equal-batch and
 broadcast-batched stacks); elementwise ops broadcast like numpy.
 """

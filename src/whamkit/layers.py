@@ -93,19 +93,23 @@ class Dense:
         self.b = params.add(f"{name}.b", _init_uniform(rng, (out_dim,), in_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        w, b = self.w, self.b
         rows = x.data.reshape(-1, x.shape[-1])
-        y = rows @ w.data
-        y += b.data
-        if not np.isfinite(y).all():
-            raise NumericError(f"non-finite values in {self.name}")
+        y = self._affine(rows)
 
         def bw(g):
             g = g.reshape(y.shape)
-            gx = (g @ w.data.T).reshape(x.shape) if x.requires_grad else None
+            gx = (g @ self.w.data.T).reshape(x.shape) if x.requires_grad else None
             return gx, rows.T @ g, g.sum(axis=0)
 
-        return ad._node(y.reshape(x.shape[:-1] + y.shape[-1:]), (x, w, b), bw)
+        return ad._node(y.reshape(x.shape[:-1] + y.shape[-1:]), (x, self.w, self.b), bw)
+
+    def _affine(self, rows: np.ndarray) -> np.ndarray:
+        """The untaped (N, out) output of (N, in) rows, checked finite."""
+        y = rows @ self.w.data
+        y += self.b.data
+        if not np.isfinite(y).all():
+            raise NumericError(f"non-finite values in {self.name}")
+        return y
 
 
 class DenseStack:
@@ -162,9 +166,18 @@ class GruLayer:
         hs = self.sequence(ad.reshape(x, (1,) + x.data.shape), h_prev)
         return ad.reshape(hs, (b, self.hidden_dim))
 
-    def sequence(self, xs: Tensor, h0: Tensor | None = None) -> Tensor:
+    def sequence(self, xs, h0: Tensor | None = None) -> Tensor:
         """All hidden states (T, B, H) of the recurrence over (T, B, D)
         inputs, from h0 (zeros when None).
+
+        xs is one (T, B, D) Tensor or a tuple of (T, B, D_k) parts whose
+        widths add up to D; the input is the parts joined on the last axis,
+        each part meeting its own D_k rows of the input weights. The joined
+        input is a temporary of the forward. The node keeps the states and,
+        for its backward, the gate activations z, r and hc; it reads the
+        parts and h0 from its parents. The backward forms each part's rows
+        of the input-weight gradient from that part alone, and the input
+        gradient once, split into a view per part.
 
         Each frame takes three matmuls: the input projection of all three
         gates, the recurrent projection of z and r, and that of the
@@ -173,17 +186,22 @@ class GruLayer:
         of them. The gate activations are kept only when a backward pass can
         follow.
         """
-        t, b, d = xs.data.shape
+        parts = (xs,) if isinstance(xs, Tensor) else tuple(xs)
+        t, b = parts[0].shape[:2]
+        widths = [p.shape[-1] for p in parts]
+        d = sum(widths)
         hid = self.hidden_dim
         if h0 is None:
             h0 = Tensor(np.zeros((b, hid)))
-        if d != self.in_dim or h0.data.shape != (b, hid):
+        if (d != self.in_dim or h0.data.shape != (b, hid)
+                or any(p.shape != (t, b, k) for p, k in zip(parts, widths))):
             raise InvalidInputError(f"{self.name}: input/hidden dims do not match the cell")
+        x = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=2)
         wz, uz, bz, wr, ur, br, wh, uh, bh = self.weights
         w = np.concatenate([wz.data, wr.data, wh.data], axis=1)     # (D, 3H)
         u_zr = np.concatenate([uz.data, ur.data], axis=1)            # (H, 2H)
         b_zr = np.concatenate([bz.data, br.data])
-        parents = (xs, h0) + self.weights
+        parents = parts + (h0,) + self.weights
         record = ad.grad_enabled() and any(p.requires_grad for p in parents)
 
         hs = np.empty((t, b, hid))
@@ -191,7 +209,7 @@ class GruLayer:
             zs, rs, hcs = np.empty_like(hs), np.empty_like(hs), np.empty_like(hs)
         h = h0.data
         for i in range(t):
-            a = xs.data[i] @ w
+            a = x[i] @ w
             zr = a[:, :2 * hid]
             zr += h @ u_zr
             zr += b_zr
@@ -210,12 +228,11 @@ class GruLayer:
             return Tensor(hs)
 
         def bw(g):
-            h_prev = np.concatenate([h0.data[None], hs[:-1]], axis=0)
             da = np.empty((t, b, 3 * hid))     # gate pre-activation gradients
             dh = np.zeros((b, hid))
             u_zr_t, uh_t = u_zr.T, uh.data.T
             for i in range(t - 1, -1, -1):
-                z, r, hc, hp = zs[i], rs[i], hcs[i], h_prev[i]
+                z, r, hc, hp = zs[i], rs[i], hcs[i], (hs[i - 1] if i else h0.data)
                 dh = dh + g[i]
                 dah = da[i, :, 2 * hid:]
                 np.multiply(dh * z, 1.0 - hc * hc, out=dah)
@@ -223,15 +240,22 @@ class GruLayer:
                 da[i, :, :hid] = dh * (hc - hp) * z * (1.0 - z)
                 da[i, :, hid:2 * hid] = drh * hp * r * (1.0 - r)
                 dh = dh * (1.0 - z) + drh * r + da[i, :, :2 * hid] @ u_zr_t
+            # The gate activations are spent: hcs takes the previous states
+            # and rs their product with r, so no new (T, B, H) array is made.
+            h_prev = hcs
+            h_prev[0], h_prev[1:] = h0.data, hs[:-1]
+            rh = np.multiply(rs, h_prev, out=rs)
             rows = t * b
             da2 = da.reshape(rows, 3 * hid)
-            dw = xs.data.reshape(rows, d).T @ da2
+            dw = np.concatenate([p.data.reshape(rows, k).T @ da2
+                                 for p, k in zip(parts, widths)])
             du_zr = h_prev.reshape(rows, hid).T @ da2[:, :2 * hid]
-            du_h = (rs * h_prev).reshape(rows, hid).T @ da2[:, 2 * hid:]
+            du_h = rh.reshape(rows, hid).T @ da2[:, 2 * hid:]
             db = da2.sum(axis=0)
-            dx = (da2 @ w.T).reshape(t, b, d) if xs.requires_grad else None
+            dxs = (np.split((da2 @ w.T).reshape(t, b, d), np.cumsum(widths)[:-1], axis=2)
+                   if any(p.requires_grad for p in parts) else [None] * len(parts))
             z_, r_, h_ = slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, None)
-            return (dx, dh,
+            return (*dxs, dh,
                     dw[:, z_], du_zr[:, z_], db[z_],
                     dw[:, r_], du_zr[:, r_], db[r_],
                     dw[:, h_], du_h, db[h_])

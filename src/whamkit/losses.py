@@ -184,14 +184,25 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
     terms["foot_slide"] = foot_sliding_loss(feet_w[1:] - feet_w[:-1],
                                             truth["contacts"][:-1])
 
-    total = None
     breakdown = {}
     for name, term in terms.items():
         value = term.item()
         if not np.isfinite(value):
             raise NumericError(f"loss term {name!r} is non-finite")
         breakdown[name] = value
-        weighted = term * getattr(weights, name)
-        total = weighted if total is None else total + weighted
+    total = _weighted_sum(terms, weights)
     breakdown["total"] = total.item()
     return total, breakdown
+
+
+def _weighted_sum(terms: dict[str, Tensor], weights: LossWeights) -> Tensor:
+    """The sum over terms of term * its weight, as one tape node. The forward
+    multiplies and adds in the order of the composed multiply and add nodes,
+    and each term's gradient is the output gradient times its weight, as
+    theirs is, so value and gradients are bit-identical."""
+    coeffs = [getattr(weights, name) for name in terms]
+    total = None
+    for term, c in zip(terms.values(), coeffs):
+        weighted = term.data * c
+        total = weighted if total is None else total + weighted
+    return ad._node(total, tuple(terms.values()), lambda g: tuple(g * c for c in coeffs))

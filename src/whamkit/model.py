@@ -188,9 +188,23 @@ def pack_encoder_input(kp_norm: np.ndarray, mask: np.ndarray,
 
 def center_pose(flat: Tensor) -> Tensor:
     """Decode a (..., 63) head output, an offset on the rest posture, to a
-    hip-centered (..., 21, 3) pose."""
-    pose = ad.reshape(flat + Tensor(_REST_ANCHOR), flat.shape[:-1] + (NUM_LANDMARKS, 3))
-    return pose - ad.tmean(pose[..., _HIPS, :], axis=-2, keepdims=True)
+    hip-centered (..., 21, 3) pose.
+
+    One tape node that keeps no array: the anchored pose is a temporary,
+    and the backward needs only the output gradient. Forward and backward
+    run the numpy operations of the composed anchor-add, reshape, hip
+    gather, mean and subtract nodes, so value and gradient are theirs bit
+    for bit."""
+    shape = flat.shape
+    pose = (flat.data + _REST_ANCHOR).reshape(shape[:-1] + (NUM_LANDMARKS, 3))
+    out = pose - pose[..., _HIPS, :].mean(axis=-2, keepdims=True)
+
+    def bw(g):
+        shift = np.zeros_like(g)
+        shift[..., _HIPS, :] = (-g).sum(axis=-2, keepdims=True) / len(_HIPS)
+        return ((g + shift).reshape(shape),)
+
+    return ad._node(out, (flat,), bw)
 
 
 def rotation_head(out6: Tensor) -> Tensor:
@@ -280,39 +294,56 @@ class WhamModel:
         return phi, center_pose(self.weights.encoder_head(phi))
 
     def integrate(self, phi: Tensor, features: np.ndarray | None) -> Tensor:
-        """Residual feature fusion; with no features this is the identity."""
+        """Residual feature fusion phi + fc1(relu(fc0([phi, features]))); with
+        no features this is the identity.
+
+        One tape node that keeps only the ReLU output. The joined input is a
+        temporary of the forward; the backward reads phi and the features
+        from the node's parents and forms the first layer's weight-gradient
+        rows from each alone. Each layer keeps its finite check, and the
+        numpy operations are those of the composed join, Dense, ReLU, Dense
+        and add nodes, so value and gradients are theirs bit for bit."""
         if features is None:
             return phi
-        return phi + self.weights.integrator(ad.concat([phi, Tensor(features)], axis=2))
+        fc0, fc1 = self.weights.integrator.layers
+        feats = Tensor(features)
+        t, b, h = phi.shape
+        rows = t * b
+        act = fc0._affine(np.concatenate([phi.data, feats.data], axis=2).reshape(rows, -1))
+        act = np.where(act > 0, act, 0.0)
+        out = phi.data + fc1._affine(act).reshape(t, b, h)
+
+        def bw(g):
+            g1 = g.reshape(rows, h)
+            g0 = (g1 @ fc1.w.data.T) * (act > 0)
+            gphi = g + (g0 @ fc0.w.data.T)[:, :h].reshape(t, b, h) if phi.requires_grad else None
+            dw0 = np.concatenate([x.reshape(rows, -1).T @ g0 for x in (phi.data, feats.data)])
+            return gphi, None, dw0, g0.sum(axis=0), act.T @ g1, g1.sum(axis=0)
+
+        return ad._node(out, (phi, feats, fc0.w, fc0.b, fc1.w, fc1.b), bw)
 
     def decode_motion(self, fused: Tensor, h0: Tensor | None = None):
-        """The five motion heads, all fed from one (T*B, H) view of the
-        decoder states: a backward pass keeps every node's gradient until
-        the loss is dropped, and one shared node keeps one such buffer."""
-        t, b, h = fused.shape
+        """The five motion heads on the (T, B, H) decoder states."""
         w = self.weights
-        flat = ad.reshape(w.motion_gru.sequence(fused, h0), (t * b, h))
-        unflat = lambda x: ad.reshape(x, (t, b) + x.shape[1:])
-        return (unflat(center_pose(w.head_pose(flat))),
-                unflat(w.head_contact(flat) * CONTACT_LOGIT_GAIN),
-                unflat(w.head_cam_pos(flat)),
-                unflat(ad.exp(w.head_shape(flat))),
-                unflat(rotation_head(w.head_cam_rot(flat))))
+        states = w.motion_gru.sequence(fused, h0)
+        return (center_pose(w.head_pose(states)),
+                w.head_contact(states) * CONTACT_LOGIT_GAIN,
+                w.head_cam_pos(states),
+                ad.exp(w.head_shape(states)),
+                rotation_head(w.head_cam_rot(states)))
 
     def decode_trajectory(self, phi: Tensor, omega: np.ndarray) -> tuple[Tensor, Tensor]:
         if omega.shape[:2] != phi.shape[:2]:
             raise InvalidInputError("omega length must match the feature sequence")
         scaled = np.tile(CONDITIONING_INPUT_GAIN * omega, (1, 1, OMEGA_TILE))
-        x = ad.concat([phi, Tensor(scaled)], axis=2)
-        out = self.weights.traj_head(self.weights.traj_gru.sequence(x))
+        out = self.weights.traj_head(self.weights.traj_gru.sequence((phi, Tensor(scaled))))
         return rotation_head(out[..., :6]), out[..., 6:]
 
     def refine_trajectory(self, phi: Tensor, root_rot0: Tensor,
                           vel_adj: Tensor) -> tuple[Tensor, Tensor]:
         """Residual GRU correction on top of (root_rot0, vel_adj); zero
         weights pass both through bit-identically."""
-        x = ad.concat([phi, rotops.matrix_to_6d(root_rot0),
-                       CONDITIONING_INPUT_GAIN * vel_adj], axis=2)
+        x = (phi, rotops.matrix_to_6d(root_rot0), CONDITIONING_INPUT_GAIN * vel_adj)
         out = self.weights.refine_head(self.weights.refine_gru.sequence(x))
         return ad.matmul(root_rot0, rotation_head(out[..., :6])), vel_adj + out[..., 6:]
 

@@ -17,7 +17,7 @@ import whamkit.autodiff as ad
 from whamkit import dataset as ds, fileio, geom, losses, metrics
 from whamkit.constants import CAMERA_BASE
 from whamkit.losses import LossWeights
-from whamkit.model import ModelDims, WhamModel, WhamParams
+from whamkit.model import _HIPS, _REST_ANCHOR, ModelDims, WhamModel, WhamParams
 from whamkit.synth import SynthConfig
 from whamkit.train import TrainingModule, build_batch, make_chunks
 
@@ -185,9 +185,10 @@ def fail_atomic_writes(monkeypatch, limit: int = 100) -> None:
 
 # -- composed autodiff references -------------------------------------------
 # The package records a Dense layer, each squared-error loss term, the 6D
-# rotation decode and the SO(3) log as one tape node each. These compose the
-# same math from one node per elementwise op, and the tests compare the
-# fused kernels against them.
+# rotation decode, the SO(3) log, a GRU over joined inputs, the feature
+# integrator, the pose centering and the weighted loss sum as one tape node
+# each. These compose the same math from one node per op, and the tests
+# compare the fused kernels against them.
 
 square = ad._unary(lambda x: x * x, lambda g, x, out: g * 2.0 * x)
 sqrt = ad._unary(np.sqrt, lambda g, x, out: g * 0.5 / out)
@@ -271,3 +272,31 @@ def composed_so3_log(rel):
     s = ad.where(small, s_small, s_large)
     vee = rel[..., [2, 0, 1], [1, 2, 0]] - rel[..., [1, 2, 0], [2, 0, 1]]
     return vee * s
+
+
+def composed_sequence(layer, parts, h0=None):
+    """layer.sequence over its input parts joined by a concat node."""
+    return layer.sequence(ad.concat(parts, axis=2), h0)
+
+
+def composed_integrate(wham, phi, features):
+    """WhamModel.integrate as concat, DenseStack (Dense, ReLU, Dense) and
+    residual add nodes."""
+    return phi + wham.weights.integrator(ad.concat([phi, ad.Tensor(features)], axis=2))
+
+
+def composed_center_pose(flat):
+    """model.center_pose as anchor add, reshape, hip gather, mean and
+    subtract nodes."""
+    pose = ad.reshape(flat + ad.Tensor(_REST_ANCHOR), flat.shape[:-1] + (21, 3))
+    return pose - ad.tmean(pose[..., _HIPS, :], axis=-2, keepdims=True)
+
+
+def composed_weighted_sum(terms, weights):
+    """losses._weighted_sum as one multiply node per term and a chain of
+    add nodes."""
+    total = None
+    for name, term in terms.items():
+        weighted = term * getattr(weights, name)
+        total = weighted if total is None else total + weighted
+    return total

@@ -5,7 +5,7 @@ import whamkit.autodiff as ad
 from whamkit.errors import InvalidInputError, NumericError
 from whamkit.layers import Dense, DenseStack, GruLayer, ParamSet
 
-from tests.conftest import composed_dense, square, stack
+from tests.conftest import composed_dense, composed_sequence, square, stack
 from tests.test_trace_targets import load_spans
 
 
@@ -159,6 +159,48 @@ class TestGruSequence:
         assert taped.requires_grad and taped._bw is not None
         assert (plain.data == taped.data).all()
         assert not plain.requires_grad and plain._bw is None and plain._parents == ()
+
+
+class TestGruSequenceParts:
+    """sequence() over a tuple of input parts is one tape node whose states
+    and gradients equal those of the parts joined by a concat node, bit for
+    bit, also for a part that takes no gradient."""
+
+    T, B, H = 9, 6, 5
+
+    def run(self, widths, needs_grad, joined):
+        params = ParamSet()
+        layer = GruLayer(params, "gru", sum(widths), self.H, np.random.default_rng(21))
+        init = Dense(params, "init", 2, self.H, np.random.default_rng(22))
+        rng = np.random.default_rng(23)
+        parts = tuple(ad.Tensor(rng.normal(size=(self.T, self.B, k)), requires_grad=g)
+                      for k, g in zip(widths, needs_grad))
+        h0 = init(ad.Tensor(rng.normal(size=(self.B, 2))))
+        probe = ad.Tensor(rng.normal(size=(self.T, self.B, self.H)))
+        hs = composed_sequence(layer, parts, h0) if joined else layer.sequence(parts, h0)
+        nodes = load_spans().tape_size(hs)[0]
+        ad.tsum(hs * probe).backward()
+        grads = [p.grad for p in parts] + [init.w.grad, init.b.grad]
+        return hs.data, grads + [p.grad for p in layer.weights], nodes
+
+    @pytest.mark.parametrize("widths, needs_grad", [
+        ((4,), (True,)), ((4, 3), (True, True)), ((7, 3, 2), (True, False, True)),
+        ((7, 3, 2), (True, True, True)), ((3, 4), (False, False))])
+    def test_matches_concatenated_input_bit_for_bit(self, widths, needs_grad):
+        got, got_grads, got_nodes = self.run(widths, needs_grad, joined=False)
+        want, want_grads, want_nodes = self.run(widths, needs_grad, joined=True)
+        # The concat node is recorded only when some part takes a gradient.
+        assert got_nodes == want_nodes - any(needs_grad)
+        assert np.array_equal(got, want)
+        assert [a is None for a in got_grads[:len(widths)]] == [not g for g in needs_grad]
+        assert [a is None for a in got_grads] == [b is None for b in want_grads]
+        assert all(a is None or np.array_equal(a, b) for a, b in zip(got_grads, want_grads))
+
+    def test_parts_must_share_frames_and_batch(self):
+        _, layer = make_gru(in_dim=5, hidden=3)
+        parts = (ad.Tensor(np.ones((4, 2, 3))), ad.Tensor(np.ones((4, 1, 2))))
+        with pytest.raises(InvalidInputError):
+            layer.sequence(parts)
 
 
 class TestDense:

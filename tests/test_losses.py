@@ -10,11 +10,12 @@ from whamkit import body, geom
 from whamkit.autodiff import Tensor
 from whamkit.errors import NumericError
 from whamkit.gradcheck import grad_check
-from whamkit.losses import (LossWeights, _mean_sq_error, contact_loss, foot_sliding_loss,
-                            reprojection_loss, total_loss)
+from whamkit.losses import (LossWeights, _mean_sq_error, _weighted_sum, contact_loss,
+                            foot_sliding_loss, reprojection_loss, total_loss)
 from whamkit.model import ForwardOutputs, extract_velocities
 from whamkit.train import build_batch, make_chunks
-from tests.conftest import composed_mean_sq_error, composed_reprojection_loss, toy_bundles
+from tests.conftest import (composed_mean_sq_error, composed_reprojection_loss,
+                            composed_weighted_sum, toy_bundles)
 from tests.test_trace_targets import load_spans
 
 
@@ -173,6 +174,28 @@ class TestTotalLoss:
         out.vel0.data[0, 0, 0] = np.nan
         with pytest.raises(NumericError, match="root_vel"):
             total_loss(out, clean_batch, LossWeights())
+
+
+class TestWeightedSum:
+    def test_one_node_matches_composed_sum_bit_for_bit(self):
+        """The weighted total is one tape node where the composed sum takes
+        one multiply per term and an add per term after the first."""
+        rng = np.random.default_rng(44)
+        names = [f.name for f in dataclasses.fields(LossWeights)]
+        values = rng.uniform(0, 3, size=len(names))
+        coeffs = {n: float(c) for n, c in zip(names, rng.uniform(0, 2, size=len(names)))}
+        weights = LossWeights(**{**coeffs, "cascade": 0.0})
+        results = []
+        for fn in (_weighted_sum, composed_weighted_sum):
+            terms = {n: Tensor(v, requires_grad=True) for n, v in zip(names, values)}
+            total = fn(terms, weights)
+            nodes = load_spans().tape_size(total)[0]
+            total.backward()
+            results.append((nodes, total.item(), [t.grad for t in terms.values()]))
+        (nodes, got, got_grads), (composed_nodes, want, want_grads) = results
+        assert nodes == 1 and composed_nodes == 2 * len(names) - 1
+        assert got == want
+        assert all(np.array_equal(a, b) for a, b in zip(got_grads, want_grads))
 
 
 class TestReprojectionLoss:

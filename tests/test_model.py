@@ -10,11 +10,11 @@ from whamkit.errors import InvalidInputError
 from whamkit.gradcheck import forward_backward
 from whamkit.losses import LossWeights
 from whamkit.model import (ENCODER_INPUT_DIM, AblationFlags, ModelDims, WhamModel,
-                           WhamParams, adjust_velocity, extract_velocities, rollout,
-                           rollout_np)
+                           WhamParams, adjust_velocity, center_pose, extract_velocities,
+                           rollout, rollout_np)
 from whamkit.train import TrainingModule
 
-from tests.conftest import is_rotation
+from tests.conftest import composed_center_pose, composed_integrate, is_rotation
 from tests.test_trace_targets import load_spans
 
 DIMS = ModelDims(hidden=8, feature_dim=8, integrator_hidden=8, init_hidden=16)
@@ -187,6 +187,47 @@ class TestResidualIdentities:
             model.params[name].data = data
 
 
+class TestFusedStages:
+    """The integrator and the pose centering are one tape node each, whose
+    value and gradients equal the composed nodes' bit for bit."""
+
+    def run_both(self, fused, composed, leaf_data, params=()):
+        results = []
+        for fn in (fused, composed):
+            for p in params:
+                p.grad = None
+            leaf = Tensor(leaf_data, requires_grad=True)
+            out = fn(leaf)
+            nodes = load_spans().tape_size(out)[0]
+            probe = np.random.default_rng(30).normal(size=out.shape)
+            ad.tsum(out * Tensor(probe)).backward()
+            results.append((nodes, out.data, [leaf.grad] + [p.grad for p in params]))
+        (fused_nodes, got, got_grads), (_, want, want_grads) = results
+        assert fused_nodes == 1
+        assert np.array_equal(got, want)
+        for a, b in zip(got_grads, want_grads):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_integrate_matches_composed_chain(self):
+        wham = WhamModel(WhamParams(DIMS, seed=3))
+        rng = np.random.default_rng(31)
+        params = [wham.params[name] for name in wham.params.slices()
+                  if name.startswith("integrator")]
+        for p in params:
+            p.data = rng.normal(0, 0.5, size=p.data.shape)
+        feats = rng.normal(size=(7, 3, DIMS.feature_dim))
+        phi = rng.normal(size=(7, 3, DIMS.hidden))
+        act = np.concatenate([phi, feats], axis=2) @ params[0].data + params[1].data
+        assert (act > 0).any() and (act <= 0).any()
+        self.run_both(lambda x: wham.integrate(x, feats),
+                      lambda x: composed_integrate(wham, x, feats), phi, params)
+
+    @pytest.mark.parametrize("shape", [(5, 63), (4, 3, 63), (4, 1, 63)])
+    def test_center_pose_matches_composed_chain(self, shape):
+        flat = np.random.default_rng(32).normal(size=shape)
+        self.run_both(center_pose, composed_center_pose, flat)
+
+
 class TestCausality:
     # The contact-aware velocity adjustment at frame t cancels the rollout
     # step t -> t+1, which requires the frame t+1 foot position: the refined
@@ -336,10 +377,10 @@ class TestEncoderFixedPoint:
 
 
 class TestBackwardMemory:
-    def test_peak_stays_near_the_forward_tape(self):
-        """Backward frees each node once its gradient has passed on, so its
-        traced peak stays near the forward tape's size; keeping every
-        intermediate gradient until the loss is dropped reads 1.78 here."""
+    @pytest.fixture(scope="class")
+    def traced(self):
+        """Traced bytes of a finetune loss's forward tape at (81, 8) with
+        seed-0 weights, and the peak above the same base during backward."""
         module = TrainingModule(WhamModel(WhamParams(ModelDims(), seed=0)),
                                 LossWeights(), "finetune")
         batch = random_batch(frames=81, batch=8)
@@ -353,7 +394,23 @@ class TestBackwardMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        return tape, peak
+
+    def test_peak_stays_near_the_forward_tape(self, traced):
+        """Backward frees each node once its gradient has passed on, so its
+        traced peak stays near the forward tape's size; keeping every
+        intermediate gradient until the loss is dropped reads 1.78 here."""
+        tape, peak = traced
         assert peak <= 1.25 * tape, (peak, tape)
+
+    def test_forward_tape_keeps_only_what_backward_reads(self, traced):
+        """The tape reads about 19.3 MB here, and 23.7 MB with the GRU
+        inputs joined by concat nodes and the integrator and pose centering
+        composed. The margin is below the 0.33 MB anchored pose that one
+        composed center_pose keeps, so bringing back any one of those
+        concatenations or chains fails."""
+        tape, _ = traced
+        assert tape <= 19.5e6, tape
 
 
 class TestParamCount:
@@ -411,11 +468,13 @@ class TestPinnedOutputs:
             assert tuple(getattr(col, name)[idx] for col in out) == want, name
 
     def test_finetune_tape_size(self, seed0):
-        """A batch-2 finetune loss records at most 160 nodes, counted as the
-        benchmark counts them (one node per op would make it 311): per-node
-        overhead is a large share of a small-batch step, so a change that
-        inflates the tape fails here."""
+        """A batch-2 finetune loss records at most 120 nodes, counted as the
+        benchmark counts them (one node per op would make it 311, and 160
+        with the joined GRU inputs, integrator, pose centering, motion-head
+        reshapes and loss sum composed): per-node overhead is a large share
+        of a small-batch step, so a change that inflates the tape fails
+        here."""
         model, batch = seed0
         loss = TrainingModule(model, LossWeights(), "finetune").loss(batch)
         nodes, _ = load_spans().tape_size(loss)
-        assert nodes <= 160
+        assert nodes <= 120
