@@ -9,19 +9,19 @@ for backward are freed along the way and only leaves keep .grad. A second
 backward() through a consumed node raises ValueError. Inside no_grad() the
 same ops run without building the tape, which is the inference fast path.
 
-An elementwise op is its forward function plus its backward formula:
-_unary(fn, bw) and _binary(fn, bw) build the op, and the op records one
-node whose backward is bw(g, x, out) or bw(g, x, y), the latter summed back
-to each operand's shape. matmul, the masked ops (where, clip), the shape
-ops and the reductions write their node by hand.
+An elementwise op is its forward function plus its backward formulas:
+_unary(fn, bw) records a node whose backward is bw(g, x, out), _binary(fn,
+bwx, bwy) one that forms bwx(g, x, y) or bwy(g, x, y) only for an operand
+that takes a gradient. matmul, clip, the shape ops and the reductions
+write their node by hand.
 
 Other modules write whole stages as one node each through _node, with a
 backward that reads only what that stage needs, so the tape keeps no
 intermediate of theirs: layers.Dense and layers.GruLayer.sequence (whose
-inputs may come as parts, never joined on the tape), model.center_pose
-and WhamModel.integrate, rotops.rotation6d_to_matrix and rotops.so3_log,
-and in losses each squared-error term, the reprojection error and the
-weighted total.
+inputs may come as parts, never joined on the tape), model.center_pose,
+WhamModel.integrate and model.rollout, rotops.rotation6d_to_matrix and
+rotops.so3_log, and in losses each squared-error term, the reprojection
+error and the weighted total.
 
 Supported shapes are ndim >= 2 for matmul (including equal-batch and
 broadcast-batched stacks); elementwise ops broadcast like numpy.
@@ -174,16 +174,17 @@ def _unary(fn, bw):
     return op
 
 
-def _binary(fn, bw):
-    """An op computing fn(x, y), whose node's backward is bw(g, x, y), each
-    part summed back to its operand's shape."""
+def _binary(fn, bwx, bwy):
+    """An op computing fn(x, y), whose node's backward forms bwx(g, x, y)
+    and bwy(g, x, y), each summed back to its operand's shape, only for an
+    operand that takes a gradient; the other gets None."""
     def op(a, b) -> Tensor:
         a, b = as_tensor(a), as_tensor(b)
         x, y = a.data, b.data
 
         def backward(g):
-            gx, gy = bw(g, x, y)
-            return _unbroadcast(gx, x.shape), _unbroadcast(gy, y.shape)
+            return (_unbroadcast(bwx(g, x, y), x.shape) if a.requires_grad else None,
+                    _unbroadcast(bwy(g, x, y), y.shape) if b.requires_grad else None)
 
         return _node(fn(x, y), (a, b), backward)
     return op
@@ -191,10 +192,10 @@ def _binary(fn, bw):
 
 # -- arithmetic -------------------------------------------------------------
 
-add = _binary(np.add, lambda g, x, y: (g, g))
-sub = _binary(np.subtract, lambda g, x, y: (g, -g))
-mul = _binary(np.multiply, lambda g, x, y: (g * y, g * x))
-div = _binary(np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
+add = _binary(np.add, lambda g, x, y: g, lambda g, x, y: g)
+sub = _binary(np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+mul = _binary(np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+div = _binary(np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def matmul(a, b) -> Tensor:
@@ -243,17 +244,6 @@ def getitem(a, idx) -> Tensor:
     return _node(a.data[idx], (a,), bw)
 
 
-def concat(parts, axis=-1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
-
-
 # -- reductions ---------------------------------------------------------------
 
 def _spread(g, shape, axis, keepdims) -> np.ndarray:
@@ -268,13 +258,6 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     shape = a.data.shape
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
                  lambda g: (_spread(g, shape, axis, keepdims),))
-
-
-def cumsum(a, axis=0) -> Tensor:
-    """Running sum along one axis, accumulated in index order."""
-    a = as_tensor(a)
-    return _node(np.cumsum(a.data, axis=axis), (a,),
-                 lambda g: (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),))
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -317,15 +300,6 @@ def clip(a, lo=None, hi=None) -> Tensor:
     if hi is not None:
         inside &= a.data < hi
     return _node(out_data, (a,), lambda g: (g * inside,))
-
-
-def where(cond, a, b) -> Tensor:
-    """Select by a constant boolean mask."""
-    cond = np.asarray(cond, dtype=bool)
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(np.where(cond, a.data, b.data), (a, b),
-                 lambda g: (_unbroadcast(g * cond, a.data.shape),
-                            _unbroadcast(g * ~cond, b.data.shape)))
 
 
 # Each constructor-built op is named after the public name it is bound to.

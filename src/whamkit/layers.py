@@ -65,12 +65,12 @@ class ParamSet:
         for p in self._params.values():
             p.grad = None
 
-    def block_slices(self, sep: str = ".") -> dict[str, slice]:
+    def block_slices(self) -> dict[str, slice]:
         """Contiguous slices per top-level name prefix (parameters are
         registered module by module, so prefixes are contiguous)."""
         blocks: dict[str, list[int]] = {}
         for name, sl in self.slices().items():
-            block = name.split(sep, 1)[0]
+            block = name.split(".", 1)[0]
             lo, hi = blocks.get(block, (sl.start, sl.stop))
             blocks[block] = (min(lo, sl.start), max(hi, sl.stop))
         return {b: slice(lo, hi) for b, (lo, hi) in blocks.items()}

@@ -215,12 +215,25 @@ def rotation_head(out6: Tensor) -> Tensor:
 
 def rollout(root_rot: Tensor, vel: Tensor) -> Tensor:
     """Cumulative trajectory integration tau[t+1] = tau[t] + R[t] @ v[t]
-    from tau[0] = 0."""
+    from tau[0] = 0, as one tape node. Its backward is the reverse running
+    sum g_s of the output gradient, then g_s v^T for R and R^T g_s for v:
+    the numpy operations of the composed slice, matmul, join and
+    running-sum nodes, so value and gradients are theirs bit for bit."""
     t, b = vel.shape[0], vel.shape[1]
-    tau0 = Tensor(np.zeros((1, b, 3)))
-    steps = ad.reshape(ad.matmul(root_rot[:t - 1], ad.reshape(vel[:t - 1], (t - 1, b, 3, 1))),
-                       (t - 1, b, 3))
-    return ad.cumsum(ad.concat([tau0, steps], axis=0), axis=0)
+    rot = root_rot.data[:t - 1]
+    col = vel.data[:t - 1].reshape(t - 1, b, 3, 1)
+    tau = np.zeros((t, b, 3))
+    tau[1:] = (rot @ col).reshape(t - 1, b, 3)
+    np.cumsum(tau, axis=0, out=tau)
+
+    def bw(g):
+        g_s = np.cumsum(g[:0:-1], axis=0)[::-1].reshape(t - 1, b, 3, 1)
+        grot, gvel = np.zeros_like(root_rot.data), np.zeros_like(vel.data)
+        grot[:t - 1] = g_s @ col.swapaxes(-1, -2)
+        gvel[:t - 1] = (rot.swapaxes(-1, -2) @ g_s).reshape(t - 1, b, 3)
+        return grot, gvel
+
+    return ad._node(tau, (root_rot, vel), bw)
 
 
 def rollout_np(root_rot: np.ndarray, vel: np.ndarray, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -248,23 +261,22 @@ def adjust_velocity(local_pose: Tensor, contact: Tensor,
     Foot world positions come from rolling out the first-stage trajectory.
     Velocities use the forward difference (the last frame repeats), so a
     subsequent rollout of the adjusted velocity cancels the stance-foot
-    drift exactly. Frames with no landmark above the contact threshold keep
-    vel0 unchanged. The gate (p > 0.5) is a constant in the backward pass.
+    drift exactly. The gate (p > 0.5) is a constant in the backward pass.
+    Frames with no landmark above the threshold have all-zero weights, so
+    they keep vel0 unchanged and their output gradient reaches vel0 alone.
     """
     t, b = vel0.shape[0], vel0.shape[1]
     tau0 = rollout(root_rot0, vel0)
     feet = local_pose[:, :, FOOT_SLICE, :]
     feet_w = ad.matmul(feet, ad.swap_last(root_rot0)) + ad.reshape(tau0, (t, b, 1, 3))
     dv = feet_w[1:] - feet_w[:-1]
-    vel_f = ad.concat([dv, dv[t - 2:t - 1]], axis=0)
+    vel_f = dv[np.append(np.arange(t - 1), t - 2)]
 
     gate = contact.data > CONTACT_THRESHOLD          # (T, B, 4), constant
-    count = gate.sum(axis=-1)
-    w = gate / np.maximum(count, 1.0)[..., None]
+    w = gate / np.maximum(gate.sum(axis=-1), 1.0)[..., None]
     vbar = ad.tsum(vel_f * Tensor(w[..., None]), axis=2)  # (T, B, 3)
-    adj = vel0 - ad.reshape(
+    return vel0 - ad.reshape(
         ad.matmul(ad.swap_last(root_rot0), ad.reshape(vbar, (t, b, 3, 1))), (t, b, 3))
-    return ad.where((count > 0)[..., None], adj, vel0)
 
 
 class WhamModel:

@@ -186,9 +186,9 @@ def fail_atomic_writes(monkeypatch, limit: int = 100) -> None:
 # -- composed autodiff references -------------------------------------------
 # The package records a Dense layer, each squared-error loss term, the 6D
 # rotation decode, the SO(3) log, a GRU over joined inputs, the feature
-# integrator, the pose centering and the weighted loss sum as one tape node
-# each. These compose the same math from one node per op, and the tests
-# compare the fused kernels against them.
+# integrator, the pose centering, the trajectory roll-out and the weighted
+# loss sum as one tape node each. These compose the same math from one node
+# per op, and the tests compare the fused kernels against them.
 
 square = ad._unary(lambda x: x * x, lambda g, x, out: g * 2.0 * x)
 sqrt = ad._unary(np.sqrt, lambda g, x, out: g * 0.5 / out)
@@ -207,6 +207,30 @@ def stack(parts, axis=0):
         return tuple(np.moveaxis(g, axis, 0)[i] for i in range(len(parts)))
 
     return ad._node(np.stack([p.data for p in parts], axis=axis), tuple(parts), bw)
+
+
+def concat(parts, axis=-1):
+    """np.concatenate as a tape node."""
+    parts = [ad.as_tensor(p) for p in parts]
+    offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return ad._node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                    lambda g: tuple(np.split(g, offsets, axis=axis)))
+
+
+def cumsum(a, axis=0):
+    """Running sum along one axis, accumulated in index order, as a tape node."""
+    a = ad.as_tensor(a)
+    return ad._node(np.cumsum(a.data, axis=axis), (a,),
+                    lambda g: (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),))
+
+
+def where(cond, a, b):
+    """Select by a constant boolean mask, as a tape node."""
+    cond = np.asarray(cond, dtype=bool)
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    return ad._node(np.where(cond, a.data, b.data), (a, b),
+                    lambda g: (ad._unbroadcast(g * cond, a.data.shape),
+                               ad._unbroadcast(g * ~cond, b.data.shape)))
 
 
 def composed_dense(layer, x):
@@ -269,20 +293,20 @@ def composed_so3_log(rel):
     s_small = 0.5 + u * (1.0 / 6.0) + square(u) * (1.0 / 15.0)
     theta = arccos(ad.clip(c, -1.0 + 1e-7, 1.0 - 1e-7))
     s_large = theta / (2.0 * sin(theta))
-    s = ad.where(small, s_small, s_large)
+    s = where(small, s_small, s_large)
     vee = rel[..., [2, 0, 1], [1, 2, 0]] - rel[..., [1, 2, 0], [2, 0, 1]]
     return vee * s
 
 
 def composed_sequence(layer, parts, h0=None):
     """layer.sequence over its input parts joined by a concat node."""
-    return layer.sequence(ad.concat(parts, axis=2), h0)
+    return layer.sequence(concat(parts, axis=2), h0)
 
 
 def composed_integrate(wham, phi, features):
     """WhamModel.integrate as concat, DenseStack (Dense, ReLU, Dense) and
     residual add nodes."""
-    return phi + wham.weights.integrator(ad.concat([phi, ad.Tensor(features)], axis=2))
+    return phi + wham.weights.integrator(concat([phi, ad.Tensor(features)], axis=2))
 
 
 def composed_center_pose(flat):
@@ -290,6 +314,14 @@ def composed_center_pose(flat):
     subtract nodes."""
     pose = ad.reshape(flat + ad.Tensor(_REST_ANCHOR), flat.shape[:-1] + (21, 3))
     return pose - ad.tmean(pose[..., _HIPS, :], axis=-2, keepdims=True)
+
+
+def composed_rollout(root_rot, vel):
+    """model.rollout as slice, reshape, matmul, concat and cumsum nodes."""
+    t, b = vel.shape[0], vel.shape[1]
+    steps = ad.reshape(ad.matmul(root_rot[:t - 1], ad.reshape(vel[:t - 1], (t - 1, b, 3, 1))),
+                       (t - 1, b, 3))
+    return cumsum(concat([ad.Tensor(np.zeros((1, b, 3))), steps], axis=0), axis=0)
 
 
 def composed_weighted_sum(terms, weights):

@@ -7,8 +7,8 @@ import whamkit.autodiff as ad
 import whamkit.rotops as rotops
 from whamkit import geom
 
-from tests.conftest import (arccos, composed_rotation6d_to_matrix, composed_so3_log, sin,
-                            sqrt, square, stack)
+from tests.conftest import (arccos, composed_rotation6d_to_matrix, composed_so3_log, concat,
+                            cumsum, sin, sqrt, square, stack, where)
 from tests.test_trace_targets import load_spans
 
 
@@ -45,8 +45,8 @@ def leaf(shape, seed, scale=1.0):
     return ad.Tensor(rng.normal(0, scale, size=shape), requires_grad=True)
 
 
-# sin, square, sqrt and arccos are the reference ops of tests/conftest.py.
-UNARY = [ad.exp, ad.sigmoid, ad.relu, sin, square, ad.softplus, ad.cumsum]
+# sin, square, sqrt, arccos and cumsum are the reference ops of tests/conftest.py.
+UNARY = [ad.exp, ad.sigmoid, ad.relu, sin, square, ad.softplus, cumsum]
 # Elementwise ops checked against finite differences by a test of their own:
 # the binary ones on broadcast operands, sqrt and arccos inside their domain.
 OWN_TEST = {ad.add: "test_binary_broadcast", ad.sub: "test_binary_broadcast",
@@ -104,7 +104,17 @@ class TestElementwiseOps:
         a = leaf((6,), 6)
         b = leaf((6,), 7)
         cond = np.array([True, False, True, True, False, False])
-        check(lambda: ad.tsum(square(ad.where(cond, a, b))), [a, b])
+        check(lambda: ad.tsum(square(where(cond, a, b))), [a, b])
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_binary_constant_operand_gets_no_gradient(self, op):
+        x = leaf((4, 5), 24)
+        c = ad.Tensor(np.random.default_rng(25).uniform(1.0, 2.0, size=(5,)))
+        g = np.ones((4, 5))
+        gx, gc = op(x, c)._bw(g)
+        assert gc is None and gx.shape == (4, 5)
+        gc, gx = op(c, x)._bw(g)
+        assert gc is None and gx.shape == (4, 5)
 
 
 class TestMatmul:
@@ -133,7 +143,7 @@ class TestShapeOps:
             x = ad.reshape(a, (2, 2, 6))
             top = x[0]
             rest = x[1, :, 0:3]
-            joined = ad.concat([top, ad.concat([rest, rest], axis=1)], axis=0)
+            joined = concat([top, concat([rest, rest], axis=1)], axis=0)
             piled = stack([joined, joined * 2.0], axis=0)
             return ad.tsum(square(piled))
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import whamkit.autodiff as ad
 from whamkit import body, geom
@@ -14,7 +15,9 @@ from whamkit.model import (ENCODER_INPUT_DIM, AblationFlags, ModelDims, WhamMode
                            rollout, rollout_np)
 from whamkit.train import TrainingModule
 
-from tests.conftest import composed_center_pose, composed_integrate, is_rotation
+from tests.conftest import (composed_center_pose, composed_integrate, composed_rollout,
+                            is_rotation, square)
+from tests.test_autodiff import check
 from tests.test_trace_targets import load_spans
 
 DIMS = ModelDims(hidden=8, feature_dim=8, integrator_hidden=8, init_hidden=16)
@@ -59,6 +62,16 @@ def random_batch(frames=6, batch=2, feature_dim=32, seed=5):
     }
 
 
+def trajectory_inputs(frames, batch, seed):
+    """Seeded (pose, contact, rotation, velocity) arrays for the trajectory
+    stages, with about half the foot landmarks above the contact threshold."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(0, 0.3, size=(frames, batch, 21, 3)),
+            rng.uniform(size=(frames, batch, 4)),
+            geom.exp_so3(rng.normal(0, 0.5, size=(frames, batch, 3))),
+            rng.normal(0, 0.05, size=(frames, batch, 3)))
+
+
 class TestRollout:
     def test_straight_line(self):
         rot = Tensor(np.broadcast_to(np.eye(3), (101, 1, 3, 3)).copy())
@@ -80,6 +93,11 @@ class TestRollout:
         vel = rng.normal(0, 0.05, size=(81, 3))
         got = rollout(Tensor(rots[:, None]), Tensor(vel[:, None])).data[:, 0]
         assert np.abs(got - rollout_np(rots, vel)).max() <= 1e-12
+
+    def test_gradient(self):
+        _, _, rot, vel = trajectory_inputs(5, 2, seed=12)
+        leaves = [Tensor(rot, requires_grad=True), Tensor(vel, requires_grad=True)]
+        check(lambda: ad.tsum(square(rollout(*leaves))), leaves)
 
     def test_extract_then_rollout_round_trip(self):
         rng = np.random.default_rng(2)
@@ -137,6 +155,45 @@ class TestAdjustVelocity:
         full = seq.contacts == 1.0
         assert fwd_vel[full[:-1]].max() < 1e-9
 
+    def test_frames_without_contact_keep_vel0_and_its_gradient(self):
+        """Frames with no foot landmark above the threshold, amid frames in
+        contact, output vel0 bit for bit; an output gradient on those
+        frames reaches vel0 unchanged and no other input."""
+        pose, contact, rot, vel = trajectory_inputs(9, 3, seed=6)
+        idle = np.zeros((9, 3), dtype=bool)
+        idle[[1, 4, 5, 8]] = True
+        idle[2, 1] = True
+        contact[~idle, 0] = np.maximum(contact[~idle, 0], 0.6)
+        contact[idle] = np.minimum(contact[idle], 0.5)   # the gate is p > 0.5
+        leaves = [Tensor(x, requires_grad=True) for x in (pose, rot, vel)]
+        out = adjust_velocity(leaves[0], Tensor(contact), leaves[1], leaves[2])
+        assert np.array_equal(out.data[idle], vel[idle])
+        assert (out.data[~idle] != vel[~idle]).any(axis=-1).all()
+        probe = np.where(idle[..., None], np.random.default_rng(7).normal(size=vel.shape), 0.0)
+        ad.tsum(out * Tensor(probe)).backward()
+        assert np.array_equal(leaves[2].grad, probe)
+        assert not leaves[0].grad.any() and not leaves[1].grad.any()
+
+
+class TestPrefixConsistency:
+    """The roll-out is causal, and the velocity adjustment of frame t reads
+    frame t+1 and none after it: on the first k frames of a sequence both
+    give the first k (roll-out) or k-1 (adjustment) frames of the whole
+    sequence's result, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_prefix_of_the_output_is_the_output_of_the_prefix(self, data):
+        frames = data.draw(st.integers(2, 90), label="frames")
+        batch = data.draw(st.integers(1, 8), label="batch")
+        k = data.draw(st.integers(2, frames), label="k")
+        arrays = trajectory_inputs(frames, batch, seed=data.draw(st.integers(0, 2**32 - 1)))
+        head = [Tensor(x[:k]) for x in arrays]
+        full = [Tensor(x) for x in arrays]
+        assert np.array_equal(rollout(*head[2:]).data, rollout(*full[2:]).data[:k])
+        assert np.array_equal(adjust_velocity(*head).data[:k - 1],
+                              adjust_velocity(*full).data[:k - 1])
+
 
 class TestResidualIdentities:
     def test_integrator_zero_weights_pass_through(self, model):
@@ -188,8 +245,8 @@ class TestResidualIdentities:
 
 
 class TestFusedStages:
-    """The integrator and the pose centering are one tape node each, whose
-    value and gradients equal the composed nodes' bit for bit."""
+    """The integrator, the pose centering and the roll-out are one tape node
+    each, whose value and gradients equal the composed nodes' bit for bit."""
 
     def run_both(self, fused, composed, leaf_data, params=()):
         results = []
@@ -226,6 +283,15 @@ class TestFusedStages:
     def test_center_pose_matches_composed_chain(self, shape):
         flat = np.random.default_rng(32).normal(size=shape)
         self.run_both(center_pose, composed_center_pose, flat)
+
+    @pytest.mark.parametrize("frames", [2, 3, 81])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("rot_grad", [True, False])
+    def test_rollout_matches_composed_chain(self, frames, batch, rot_grad):
+        _, _, rot, vel = trajectory_inputs(frames, batch, seed=frames + batch)
+        rot = Tensor(rot, requires_grad=rot_grad)
+        self.run_both(lambda v: rollout(rot, v), lambda v: composed_rollout(rot, v), vel,
+                      [rot] if rot_grad else [])
 
 
 class TestCausality:
@@ -468,13 +534,15 @@ class TestPinnedOutputs:
             assert tuple(getattr(col, name)[idx] for col in out) == want, name
 
     def test_finetune_tape_size(self, seed0):
-        """A batch-2 finetune loss records at most 120 nodes, counted as the
-        benchmark counts them (one node per op would make it 311, and 160
-        with the joined GRU inputs, integrator, pose centering, motion-head
-        reshapes and loss sum composed): per-node overhead is a large share
+        """A batch-2 finetune loss records at most 106 nodes, counted as the
+        benchmark counts them (120 with each of the two roll-outs composed
+        of seven nodes and the velocity adjustment's last frame joined on
+        and its no-contact frames masked by separate nodes; 160 with the
+        joined GRU inputs, integrator, pose centering, motion-head reshapes
+        and loss sum composed as well): per-node overhead is a large share
         of a small-batch step, so a change that inflates the tape fails
         here."""
         model, batch = seed0
         loss = TrainingModule(model, LossWeights(), "finetune").loss(batch)
         nodes, _ = load_spans().tape_size(loss)
-        assert nodes <= 120
+        assert nodes <= 106
