@@ -17,11 +17,11 @@ write their node by hand.
 
 Other modules write whole stages as one node each through _node, with a
 backward that reads only what that stage needs, so the tape keeps no
-intermediate of theirs: layers.Dense and layers.GruLayer.sequence (whose
-inputs may come as parts, never joined on the tape), model.center_pose,
-WhamModel.integrate and model.rollout, rotops.rotation6d_to_matrix and
-rotops.so3_log, and in losses each squared-error term, the reprojection
-error and the weighted total.
+intermediate of theirs: layers.Dense; layers.DenseStack (the integrator
+and the initializer) and layers.GruLayer.sequence, whose input parts are
+never joined on the tape; model.center_pose and model.rollout; rotops'
+6D decode and SO(3) log; and in losses each squared-error term, the
+reprojection error and the weighted total.
 
 Supported shapes are ndim >= 2 for matmul (including equal-batch and
 broadcast-batched stacks); elementwise ops broadcast like numpy.

@@ -85,14 +85,19 @@ class ModelDims:
 
 
 class WhamParams:
-    """All learnable weights, registered in one flat-viewable ParamSet."""
+    """All learnable weights, registered in one flat-viewable ParamSet; with
+    seed None they start at zeros, drawn from no RNG, for set_flat to fill."""
 
-    def __init__(self, dims: ModelDims, seed: int = 0):
+    def __init__(self, dims: ModelDims, seed: int | None = 0):
         self.dims = dims
         self.params = ParamSet()
         h = dims.hidden
-        seeds = np.random.SeedSequence(seed).spawn(12)
-        rngs = [np.random.default_rng(s) for s in seeds]
+        if seed is None:
+            rngs = [None] * 14
+        else:
+            seeds = np.random.SeedSequence(seed).spawn(12)
+            rngs = [np.random.default_rng(s) for s in seeds
+                    + [seeds[11].spawn(1)[0], seeds[0].spawn(1)[0]]]
 
         self.encoder_gru = GruLayer(self.params, "encoder.gru", ENCODER_INPUT_DIM, h, rngs[0])
         self.encoder_head = Dense(self.params, "encoder.head_kp3d", h, POSE_DIM, rngs[1])
@@ -114,11 +119,9 @@ class WhamParams:
         self.traj_gru = GruLayer(self.params, "traj_dec.gru", h + 3 * OMEGA_TILE, h, rngs[9])
         self.traj_head = Dense(self.params, "traj_dec.head", h, 9, rngs[10])
         self.refine_gru = GruLayer(self.params, "refiner.gru", h + 9, h, rngs[11])
-        self.refine_head = Dense(self.params, "refiner.head", h, 9,
-                                 np.random.default_rng(seeds[11].spawn(1)[0]))
+        self.refine_head = Dense(self.params, "refiner.head", h, 9, rngs[12])
         self.init_net = DenseStack(self.params, "init_net.mlp",
-                                   [POSE_DIM, dims.init_hidden, 2 * h],
-                                   np.random.default_rng(seeds[0].spawn(1)[0]))
+                                   [POSE_DIM, dims.init_hidden, 2 * h], rngs[13])
 
 
 @dataclass
@@ -293,7 +296,8 @@ class WhamModel:
     # -- stages ------------------------------------------------------------
 
     def neural_init(self, pose0: Tensor) -> tuple[Tensor, Tensor]:
-        """Hidden-state initialization from a frame-0 root-frame pose."""
+        """Hidden-state initialization from a (B, 63) frame-0 root-frame
+        pose, through the initializer's one DenseStack node."""
         h = self.dims.hidden
         out = self.weights.init_net(pose0)
         return out[:, :h], out[:, h:]
@@ -306,33 +310,11 @@ class WhamModel:
         return phi, center_pose(self.weights.encoder_head(phi))
 
     def integrate(self, phi: Tensor, features: np.ndarray | None) -> Tensor:
-        """Residual feature fusion phi + fc1(relu(fc0([phi, features]))); with
-        no features this is the identity.
-
-        One tape node that keeps only the ReLU output. The joined input is a
-        temporary of the forward; the backward reads phi and the features
-        from the node's parents and forms the first layer's weight-gradient
-        rows from each alone. Each layer keeps its finite check, and the
-        numpy operations are those of the composed join, Dense, ReLU, Dense
-        and add nodes, so value and gradients are theirs bit for bit."""
+        """Residual feature fusion phi + fc1(relu(fc0([phi, features]))), one
+        DenseStack node with phi as its skip; the identity without features."""
         if features is None:
             return phi
-        fc0, fc1 = self.weights.integrator.layers
-        feats = Tensor(features)
-        t, b, h = phi.shape
-        rows = t * b
-        act = fc0._affine(np.concatenate([phi.data, feats.data], axis=2).reshape(rows, -1))
-        act = np.where(act > 0, act, 0.0)
-        out = phi.data + fc1._affine(act).reshape(t, b, h)
-
-        def bw(g):
-            g1 = g.reshape(rows, h)
-            g0 = (g1 @ fc1.w.data.T) * (act > 0)
-            gphi = g + (g0 @ fc0.w.data.T)[:, :h].reshape(t, b, h) if phi.requires_grad else None
-            dw0 = np.concatenate([x.reshape(rows, -1).T @ g0 for x in (phi.data, feats.data)])
-            return gphi, None, dw0, g0.sum(axis=0), act.T @ g1, g1.sum(axis=0)
-
-        return ad._node(out, (phi, feats, fc0.w, fc0.b, fc1.w, fc1.b), bw)
+        return self.weights.integrator((phi, Tensor(features)), skip=phi)
 
     def decode_motion(self, fused: Tensor, h0: Tensor | None = None):
         """The five motion heads on the (T, B, H) decoder states."""

@@ -103,10 +103,10 @@ def save_checkpoint(path, dims: dict, params_vec: np.ndarray,
                     extra_sections: dict[str, np.ndarray] | None = None) -> None:
     """Write a checkpoint atomically (fileio.atomic_write): a write that
     fails partway leaves any previous checkpoint at path intact and no
-    temporary file behind."""
-    sections = [("params", np.asarray(params_vec, dtype=np.float64))]
-    for name, arr in (extra_sections or {}).items():
-        sections.append((name, np.asarray(arr, dtype=np.float64)))
+    temporary file behind. Each section's little-endian buffer is written
+    as it is, copied only when the array is not one already."""
+    sections = [(name, np.ascontiguousarray(arr, dtype="<f8"))
+                for name, arr in [("params", params_vec), *(extra_sections or {}).items()]]
     header = {
         "dims": dims,
         "meta": meta or {},
@@ -118,7 +118,7 @@ def save_checkpoint(path, dims: dict, params_vec: np.ndarray,
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)
         for _, arr in sections:
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(memoryview(arr).cast("B"))
 
 
 def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:

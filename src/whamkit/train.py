@@ -199,15 +199,15 @@ def _read_checkpoint(path, dims: ModelDims | None = None,
     saved_dims, meta, sections = load_checkpoint(path)
     if dims is not None and saved_dims != dims.to_dict():
         raise CheckpointError(f"{path}: checkpoint dims do not match the config")
-    # The params section must fit the header's dims before any weights are
-    # drawn: the weights grow with hidden squared, so a few bytes of header
-    # could otherwise claim gigabytes.
+    # The params section must fit the header's dims before any weight array
+    # is made: the weights grow with hidden squared, so a few bytes of header
+    # could otherwise claim gigabytes. The arrays start at zeros, not drawn.
     try:
         model_dims = ModelDims(**saved_dims)
         count = model_dims.param_count()
         if sections["params"].size != count:
             raise ValueError(f"{sections['params'].size} values, expected {count}")
-        weights = WhamParams(model_dims, seed=0)
+        weights = WhamParams(model_dims, seed=None)
         weights.params.set_flat(sections["params"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: parameters do not fit the model dims "

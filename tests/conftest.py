@@ -184,11 +184,12 @@ def fail_atomic_writes(monkeypatch, limit: int = 100) -> None:
 
 
 # -- composed autodiff references -------------------------------------------
-# The package records a Dense layer, each squared-error loss term, the 6D
-# rotation decode, the SO(3) log, a GRU over joined inputs, the feature
-# integrator, the pose centering, the trajectory roll-out and the weighted
-# loss sum as one tape node each. These compose the same math from one node
-# per op, and the tests compare the fused kernels against them.
+# The package records a Dense layer, a DenseStack (the feature integrator
+# and the initializer), each squared-error loss term, the 6D rotation
+# decode, the SO(3) log, a GRU over joined inputs, the pose centering, the
+# trajectory roll-out and the weighted loss sum as one tape node each.
+# These compose the same math from one node per op, and the tests compare
+# the fused kernels against them.
 
 square = ad._unary(lambda x: x * x, lambda g, x, out: g * 2.0 * x)
 sqrt = ad._unary(np.sqrt, lambda g, x, out: g * 0.5 / out)
@@ -303,10 +304,18 @@ def composed_sequence(layer, parts, h0=None):
     return layer.sequence(concat(parts, axis=2), h0)
 
 
+def composed_mlp(stack, xs, skip=None):
+    """stack(xs, skip) for a layers.DenseStack as concat, Dense, ReLU, Dense
+    and residual add nodes."""
+    x = xs if isinstance(xs, ad.Tensor) else concat(xs)
+    out = stack.fc1(ad.relu(stack.fc0(x)))
+    return out if skip is None else skip + out
+
+
 def composed_integrate(wham, phi, features):
-    """WhamModel.integrate as concat, DenseStack (Dense, ReLU, Dense) and
-    residual add nodes."""
-    return phi + wham.weights.integrator(concat([phi, ad.Tensor(features)], axis=2))
+    """WhamModel.integrate as concat, Dense, ReLU, Dense and residual add
+    nodes."""
+    return composed_mlp(wham.weights.integrator, (phi, ad.Tensor(features)), skip=phi)
 
 
 def composed_center_pose(flat):

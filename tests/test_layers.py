@@ -5,7 +5,8 @@ import whamkit.autodiff as ad
 from whamkit.errors import InvalidInputError, NumericError
 from whamkit.layers import Dense, DenseStack, GruLayer, ParamSet
 
-from tests.conftest import composed_dense, composed_sequence, square, stack
+from tests.conftest import composed_dense, composed_mlp, composed_sequence, square, stack
+from tests.test_autodiff import check
 from tests.test_trace_targets import load_spans
 
 
@@ -273,6 +274,69 @@ class TestDense:
                            zero_output=True)
         x = np.random.default_rng(3).normal(size=(5, 2))
         assert (stack(ad.Tensor(x)).data == 0.0).all()
+
+
+class TestDenseStack:
+    """A DenseStack call is one tape node whose value and gradients equal
+    those of the composed Dense, ReLU, Dense and residual add nodes, bit for
+    bit, for one input or two parts, with no skip, a skip of its own, or
+    the first part as the skip (the integrator's case)."""
+
+    SHAPES = [[(7, 4)], [(5, 3, 4)], [(5, 3, 4), (5, 3, 2)]]
+
+    def case(self, shapes, skip):
+        params = ParamSet()
+        mlp = DenseStack(params, "mlp", [sum(s[-1] for s in shapes), 6, 4],
+                         np.random.default_rng(40))
+        rng = np.random.default_rng(41)
+        parts = tuple(ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+        xs = parts[0] if len(parts) == 1 else parts
+        own = ad.Tensor(rng.normal(size=shapes[0]), requires_grad=True)
+        sk = {"none": None, "own": own, "part": parts[0]}[skip]
+        leaves = parts + ((own,) if skip == "own" else ())
+        return mlp, xs, sk, leaves + (mlp.fc0.w, mlp.fc0.b, mlp.fc1.w, mlp.fc1.b)
+
+    @pytest.mark.parametrize("shapes", SHAPES)
+    @pytest.mark.parametrize("skip", ["none", "own", "part"])
+    def test_matches_composed_reference_bit_for_bit(self, shapes, skip):
+        results = []
+        for fn in (lambda mlp, xs, sk: mlp(xs, sk), composed_mlp):
+            mlp, xs, sk, leaves = self.case(shapes, skip)
+            out = fn(mlp, xs, sk)
+            probe = np.random.default_rng(42).normal(size=out.shape)
+            ad.tsum(out * ad.Tensor(probe)).backward()
+            results.append((out.data, [t.grad for t in leaves]))
+        (got, got_grads), (want, want_grads) = results
+        pre = np.concatenate([t.data for t in leaves[:len(shapes)]], axis=-1) @ leaves[-4].data
+        assert (pre > 0).any() and (pre <= 0).any()
+        assert got.shape == shapes[0][:-1] + (4,)
+        assert np.array_equal(got, want)
+        for a, b in zip(got_grads, want_grads):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shapes", SHAPES)
+    @pytest.mark.parametrize("skip", ["none", "own", "part"])
+    def test_one_tape_node(self, shapes, skip):
+        mlp, xs, sk, _ = self.case(shapes, skip)
+        assert load_spans().tape_size(mlp(xs, sk))[0] == 1
+
+    @pytest.mark.parametrize("skip", ["none", "own", "part"])
+    def test_gradient(self, skip):
+        mlp, xs, sk, leaves = self.case(self.SHAPES[2], skip)
+        check(lambda: ad.tsum(square(mlp(xs, sk))), list(leaves), tol=1e-4)
+
+    def test_mismatched_inputs_raise(self):
+        mlp, xs, _, _ = self.case(self.SHAPES[2], "none")
+        with pytest.raises(InvalidInputError):
+            mlp((xs[0], ad.Tensor(np.ones((5, 2, 2)))))
+        with pytest.raises(InvalidInputError):
+            mlp(xs[0])
+
+    def test_no_grad_records_nothing(self):
+        mlp, xs, sk, _ = self.case(self.SHAPES[1], "own")
+        with ad.no_grad():
+            out = mlp(xs, sk)
+        assert not out.requires_grad and out._parents == ()
 
 
 class TestParamSet:

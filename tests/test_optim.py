@@ -123,6 +123,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_file_is_the_header_then_each_section_buffer(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        vec = np.random.default_rng(2).normal(size=40)
+        extra = {"adam_m": vec[::2], "adam_v": vec[:20].astype(">f8")}
+        save_checkpoint(path, {"hidden": 4}, vec, meta={"epoch": 1}, extra_sections=extra)
+        header = {"dims": {"hidden": 4}, "meta": {"epoch": 1},
+                  "sections": [{"name": "params", "count": 40}, {"name": "adam_m", "count": 20},
+                               {"name": "adam_v", "count": 20}]}
+        blob = json.dumps(header, sort_keys=True).encode()
+        payload = b"".join(np.asarray(a, dtype="<f8").tobytes()
+                           for a in (vec, vec[::2], vec[:20]))
+        assert path.read_bytes() == (MAGIC + struct.pack("<II", VERSION, len(blob))
+                                     + blob + payload)
+
     def test_deterministic_bytes(self, tmp_path):
         vec = np.random.default_rng(1).normal(size=64)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -4,13 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from whamkit import dataset as ds
+from whamkit import dataset as ds, layers
 from whamkit.config import RunConfig
 from whamkit.errors import CheckpointError, InvalidInputError, NumericError
 from whamkit.gradcheck import forward_backward
 from whamkit.losses import LossWeights
 from whamkit.model import ModelDims, WhamModel, WhamParams
-from whamkit.optim import load_checkpoint
+from whamkit.optim import load_checkpoint, save_checkpoint
 from whamkit.synth import SynthConfig
 from whamkit.train import (TrainingModule, _append_log, _lr_scale, build_batch, load_model,
                            make_chunks, run_training)
@@ -153,6 +153,19 @@ class TestRunTraining:
                                        integrator_hidden=12, init_hidden=8)
         _, _, sections = load_checkpoint(path)
         assert (model.params.get_flat() == sections["params"]).all()
+
+    def test_load_model_draws_no_weights(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        vec = WhamParams(TOY_DIMS, seed=1).params.get_flat()
+        save_checkpoint(path, TOY_DIMS.to_dict(), vec, meta={"epoch": 0})
+
+        def no_draw(*args):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(layers, "_init_uniform", no_draw)
+        model, _ = load_model(str(path))
+        _, _, sections = load_checkpoint(path)
+        assert np.array_equal(model.params.get_flat(), sections["params"])
 
 
 class TestTrainLog:
