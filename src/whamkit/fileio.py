@@ -15,7 +15,13 @@ def atomic_write(path, mode: str = "w", newline: str | None = None) -> Iterator:
     any previous file at path intact and no temporary file behind. Each
     writer has its own temporary file, so overlapping writers of one path
     all succeed and path ends up holding one writer's complete bytes. The
-    file gets the permissions a plain open would give it."""
+    file gets the permissions a plain open would give it.
+
+    There is no fsync, of the file or of its directory, so after a power
+    loss the rename may land before the data. Every synthesized NDJSON file
+    and every infer output is written here as well as checkpoints and the
+    loss log, so an fsync would be paid on each of them, in dataset set-up
+    time and in the infer rate."""
     path = os.fspath(path)
     fd, tmp_path = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
                                     suffix=".tmp", dir=os.path.dirname(path) or ".")

@@ -239,16 +239,6 @@ def rollout(root_rot: Tensor, vel: Tensor) -> Tensor:
     return ad._node(tau, (root_rot, vel), bw)
 
 
-def rollout_np(root_rot: np.ndarray, vel: np.ndarray, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Numpy rollout for ground-truth manipulation and evaluation."""
-    t = vel.shape[0]
-    tau = np.zeros((t, 3))
-    tau[0] = origin
-    for i in range(t - 1):
-        tau[i + 1] = tau[i] + root_rot[i] @ vel[i]
-    return tau
-
-
 def extract_velocities(root_rot: np.ndarray, root_pos: np.ndarray) -> np.ndarray:
     """Egocentric velocities whose rollout reproduces the trajectory; the
     last frame repeats the previous value."""

@@ -121,8 +121,11 @@ def save_checkpoint(path, dims: dict, params_vec: np.ndarray,
             fh.write(memoryview(arr).cast("B"))
 
 
-def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:
-    """Returns (dims, meta, sections)."""
+def load_checkpoint(path, sections=None) -> tuple[dict, dict, dict[str, np.ndarray]]:
+    """Returns (dims, meta, {name: array}) of the named sections, or of all
+    sections when sections is None. Every section's count is checked
+    against the file's size before any read, read or not; each returned
+    section is read straight into its own array, the others are skipped."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
@@ -146,12 +149,18 @@ def load_checkpoint(path) -> tuple[dict, dict, dict[str, np.ndarray]]:
                 and all(type(count) is int and count >= 0 for _, count in layout)):
             raise CheckpointError(f"{path}: malformed header")
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        sections = {}
         for name, count in layout:
             if 8 * count > left:
                 raise CheckpointError(f"{path}: truncated section {name!r}")
             left -= 8 * count
-            sections[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").copy()
-    if "params" not in sections:
-        raise CheckpointError(f"{path}: missing params section")
-    return dims, meta, sections
+        if "params" not in (name for name, _ in layout):
+            raise CheckpointError(f"{path}: missing params section")
+        out = {}
+        for name, count in layout:
+            if sections is None or name in sections:
+                out[name] = np.empty(count, dtype="<f8")
+                if fh.readinto(memoryview(out[name]).cast("B")) != 8 * count:
+                    raise CheckpointError(f"{path}: truncated section {name!r}")
+            else:
+                fh.seek(8 * count, os.SEEK_CUR)
+    return dims, meta, out

@@ -98,21 +98,29 @@ class TrainingModule:
         return total
 
 
-def _append_log(path, epoch: int, breakdown: dict, fresh: bool) -> None:
-    """Add one epoch's rows to the loss log; fresh starts a new log with its
-    header. The whole file is rewritten through fileio.atomic_write, so a
-    write that fails partway leaves the previous rows intact."""
-    previous = ""
-    if not fresh:
-        with suppress(FileNotFoundError), open(path, newline="") as fh:
-            previous = fh.read()
+LOG_HEADER = ["stage", "epoch", "term", "value"]
+
+
+def _append_log(path, stage: str, epoch: int, breakdown: dict) -> None:
+    """Write one epoch's rows of a stage to the loss log, in place of that
+    stage's rows from this epoch on: epoch 0 starts the stage afresh, and a
+    run resumed after a lost checkpoint write drops the rows it repeats.
+    The rows of a later stage go too, since they came from the weights this
+    write replaces; an earlier stage's rows stay. A log that does not parse
+    or has another header is replaced. The whole file is rewritten through
+    fileio.atomic_write, so a write that fails partway leaves the previous
+    rows intact."""
+    rows = []
+    with suppress(FileNotFoundError, ValueError, csv.Error), open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows[:1] != [LOG_HEADER]:
+        rows = [LOG_HEADER]
+    later = [[s] for s in STAGES[STAGES.index(stage) + 1:]]
+    rows = [r for r in rows if r[:1] not in later
+            and (r[:1] != [stage] or r[1:2] and r[1].isdecimal() and int(r[1]) < epoch)]
+    rows += [[stage, epoch, term, repr(breakdown[term])] for term in sorted(breakdown)]
     with atomic_write(path, newline="") as fh:
-        fh.write(previous)
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(["epoch", "term", "value"])
-        for term in sorted(breakdown):
-            writer.writerow([epoch, term, repr(breakdown[term])])
+        csv.writer(fh).writerows(rows)
 
 
 def _lr_scale(params, integrator_lr: float, pretrained_lr: float) -> np.ndarray:
@@ -185,7 +193,7 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
                 sums[term] = sums.get(term, 0.0) + value
             n_batches += 1
         means = {term: v / n_batches for term, v in sums.items()}
-        _append_log(log_path, epoch, means, fresh=(epoch == 0))
+        _append_log(log_path, stage, epoch, means)
         save(epoch + 1)
     return ckpt_path
 
@@ -194,9 +202,10 @@ def _read_checkpoint(path, dims: ModelDims | None = None,
                      adam: AdamState | None = None) -> tuple[WhamParams, dict]:
     """The weights and meta of a checkpoint. With dims, the checkpoint's
     dims must equal them; with adam, its moments and step count are
-    restored from the checkpoint, whose meta must then also hold the epoch.
-    Anything that does not fit raises CheckpointError."""
-    saved_dims, meta, sections = load_checkpoint(path)
+    restored from the checkpoint, whose meta must then also hold the epoch;
+    without it, only the params section is read. Anything that does not fit
+    raises CheckpointError."""
+    saved_dims, meta, sections = load_checkpoint(path, ("params",) if adam is None else None)
     if dims is not None and saved_dims != dims.to_dict():
         raise CheckpointError(f"{path}: checkpoint dims do not match the config")
     # The params section must fit the header's dims before any weight array

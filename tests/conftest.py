@@ -183,13 +183,54 @@ def fail_atomic_writes(monkeypatch, limit: int = 100) -> None:
                         raising=False)
 
 
+def fd_grad(fn, tensors, delta=1e-6):
+    """Central finite differences of a scalar function of Tensors."""
+    grads = []
+    for t in tensors:
+        g = np.zeros_like(t.data)
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + delta
+            hi = fn().item()
+            t.data[i] = orig - delta
+            lo = fn().item()
+            t.data[i] = orig
+            g[i] = (hi - lo) / (2 * delta)
+        grads.append(g)
+    return grads
+
+
+def check(fn, tensors, tol=1e-6):
+    """The gradient of the scalar fn() in each tensor agrees with central
+    differences to a relative tol."""
+    for t in tensors:
+        t.grad = None
+    loss = fn()
+    loss.backward()
+    for t, fd in zip(tensors, fd_grad(fn, tensors)):
+        an = t.grad if t.grad is not None else np.zeros_like(t.data)
+        err = np.abs(an - fd) / np.maximum(np.abs(an) + np.abs(fd), 1e-3)
+        assert err.max() < tol, f"max rel err {err.max()}"
+
+
+def rollout_np(root_rot: np.ndarray, vel: np.ndarray, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """A per-frame numpy roll-out of one sequence, the reference for
+    model.rollout and for rolling out ground truth."""
+    t = vel.shape[0]
+    tau = np.zeros((t, 3))
+    tau[0] = origin
+    for i in range(t - 1):
+        tau[i + 1] = tau[i] + root_rot[i] @ vel[i]
+    return tau
+
+
 # -- composed autodiff references -------------------------------------------
 # The package records a Dense layer, a DenseStack (the feature integrator
 # and the initializer), each squared-error loss term, the 6D rotation
 # decode, the SO(3) log, a GRU over joined inputs, the pose centering, the
 # trajectory roll-out and the weighted loss sum as one tape node each.
-# These compose the same math from one node per op, and the tests compare
-# the fused kernels against them.
+# These compose the same math from one node per op, and the table of
+# tests/test_kernels.py compares the fused kernels against them.
 
 square = ad._unary(lambda x: x * x, lambda g, x, out: g * 2.0 * x)
 sqrt = ad._unary(np.sqrt, lambda g, x, out: g * 0.5 / out)

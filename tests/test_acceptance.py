@@ -27,12 +27,11 @@ from whamkit.evaluate import AblationFlags, infer_bundle
 from whamkit.gradcheck import grad_check
 from whamkit.layers import Dense, DenseStack, GruLayer, ParamSet
 from whamkit.losses import LossWeights
-from whamkit.model import (WhamModel, WhamParams, adjust_velocity,
-                           extract_velocities, rollout_np)
+from whamkit.model import WhamModel, WhamParams, adjust_velocity, extract_velocities
 from whamkit.bench import run_bench
 from whamkit.train import TrainingModule, load_model, run_training
-from tests.conftest import (TOY_DIMS, camera_pitch_roll, read_metrics_csv, square,
-                            stack, toy_bundles)
+from tests.conftest import (TOY_DIMS, camera_pitch_roll, read_metrics_csv, rollout_np,
+                            square, stack, toy_bundles)
 from whamkit.train import build_batch, make_chunks
 
 DESK_SEED = 42

@@ -7,37 +7,9 @@ import whamkit.autodiff as ad
 import whamkit.rotops as rotops
 from whamkit import geom
 
-from tests.conftest import (arccos, composed_rotation6d_to_matrix, composed_so3_log, concat,
-                            cumsum, sin, sqrt, square, stack, where)
-from tests.test_trace_targets import load_spans
-
-
-def fd_grad(fn, tensors, delta=1e-6):
-    """Central finite differences of a scalar function of Tensors."""
-    grads = []
-    for t in tensors:
-        g = np.zeros_like(t.data)
-        for i in np.ndindex(t.data.shape):
-            orig = t.data[i]
-            t.data[i] = orig + delta
-            hi = fn().item()
-            t.data[i] = orig - delta
-            lo = fn().item()
-            t.data[i] = orig
-            g[i] = (hi - lo) / (2 * delta)
-        grads.append(g)
-    return grads
-
-
-def check(fn, tensors, tol=1e-6):
-    for t in tensors:
-        t.grad = None
-    loss = fn()
-    loss.backward()
-    for t, fd in zip(tensors, fd_grad(fn, tensors)):
-        an = t.grad if t.grad is not None else np.zeros_like(t.data)
-        err = np.abs(an - fd) / np.maximum(np.abs(an) + np.abs(fd), 1e-3)
-        assert err.max() < tol, f"max rel err {err.max()}"
+from tests.conftest import arccos, check, concat, cumsum, sin, sqrt, square, stack, where
+from tests.test_kernels import (KERNELS, check_nodes, check_reference, six_d_cases,
+                                so3_cases)
 
 
 def leaf(shape, seed, scale=1.0):
@@ -276,62 +248,20 @@ class TestRotops:
         assert np.abs(back - rots).max() < 1e-12
 
 
-def value_and_grad(fn, data, probe):
-    """fn of a leaf holding data, and the leaf's gradient of sum(fn * probe)."""
-    x = ad.Tensor(data.copy(), requires_grad=True)
-    out = fn(x)
-    ad.tsum(out * ad.Tensor(probe)).backward()
-    return out.data, x.grad
-
-
-def assert_matches_composed(fused, composed, data, seed=0):
-    """Values bit-identical to the composed reference, gradients within
-    1e-12 of it. Inputs at the norm clip have gradients near 1e12, where
-    one rounding step is about 1e-4, so the bound scales with the largest
-    gradient once that exceeds 1."""
-    probe = np.random.default_rng(seed).normal(size=fused(ad.Tensor(data)).shape)
-    got, got_grad = value_and_grad(fused, data, probe)
-    want, want_grad = value_and_grad(composed, data, probe)
-    assert np.array_equal(got, want)
-    assert np.abs(got_grad - want_grad).max() <= 1e-12 * max(1.0, np.abs(want_grad).max())
-
-
-def six_d_cases():
-    rng = np.random.default_rng(30)
-    v = rng.normal(size=(12, 6))
-    tiny_a1, near_floor, parallel = v.copy(), v.copy(), v.copy()
-    tiny_a1[:4, :3] *= 1e-13                   # |a1| clipped at 1e-12
-    near_floor[:4, :3] *= 1e-11                # |a1| just above the clip
-    parallel[:4, 3:] = 2.0 * parallel[:4, :3] + 1e-14 * rng.normal(size=(4, 3))
-    return {"random": v, "a1_clipped": tiny_a1, "a1_near_floor": near_floor,
-            "a2_parallel_to_a1": parallel,
-            "identity": np.tile(rotops.IDENTITY_6D, (3, 1))}
-
-
-def so3_cases():
-    rng = np.random.default_rng(31)
-    axes = rng.normal(size=(12, 3))
-    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    # pi - 1e-8 rounds cos(theta) to -1, inside the clamp; pi - 1e-2 does not.
-    near_pi = (np.pi - np.geomspace(1e-8, 1e-2, 12))[:, None]
-    return {"random": geom.exp_so3(rng.normal(0, 1.0, size=(2, 6, 3))),
-            "small_angle": geom.exp_so3(rng.normal(0, 1e-5, size=(12, 3))),
-            "near_pi": geom.exp_so3(axes * near_pi),
-            "identity": np.tile(np.eye(3), (3, 1, 1))}
-
-
 class TestFusedRotops:
-    """rotation6d_to_matrix and so3_log are one tape node each, with the
-    values of the composed autodiff chains they replace."""
+    """The clip, zero-column and branch cases of the two rotation kernels;
+    their reference and node-count tests run the checks of
+    tests/test_kernels.py on these cases."""
 
     @pytest.mark.parametrize("case", list(six_d_cases()))
     def test_rotation6d_matches_composed_reference(self, case):
-        assert_matches_composed(rotops.rotation6d_to_matrix, composed_rotation6d_to_matrix,
-                                six_d_cases()[case])
+        row = KERNELS["rotops.rotation6d_to_matrix"]
+        check_reference(row, row.cases[case])
 
     @pytest.mark.parametrize("case", list(so3_cases()))
     def test_so3_log_matches_composed_reference(self, case):
-        assert_matches_composed(rotops.so3_log, composed_so3_log, so3_cases()[case])
+        row = KERNELS["rotops.so3_log"]
+        check_reference(row, row.cases[case])
 
     def test_so3_log_cases_reach_both_branches_and_the_clamp(self):
         cases = so3_cases()
@@ -356,5 +286,5 @@ class TestFusedRotops:
     @pytest.mark.parametrize("fn, shape", [(rotops.rotation6d_to_matrix, (5, 2, 6)),
                                            (rotops.so3_log, (5, 2, 3, 3))])
     def test_one_tape_node_per_call(self, fn, shape):
-        x = leaf(shape, 32)
-        assert load_spans().tape_size(fn(x))[0] == 1
+        row = KERNELS[f"rotops.{fn.__name__}"]
+        check_nodes(row, row.cases["tbd"])

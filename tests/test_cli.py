@@ -18,7 +18,8 @@ from whamkit.evaluate import infer_bundle
 from whamkit.losses import LossWeights
 from whamkit.model import ModelDims
 from whamkit.optim import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from whamkit.train import load_model
+from whamkit import train
+from whamkit.train import STAGES, load_model
 
 from tests.conftest import fail_atomic_writes, read_metrics_csv
 
@@ -247,6 +248,78 @@ def trained(workspace, tmp_path_factory):
                    "--init", str(out / "pretrain.ckpt"), "--epochs", "1",
                    "--seed", "3", *SMALL_MODEL) == 0
     return data, out
+
+
+def run_stage(data, out, stage: str, epochs: int, *extra) -> int:
+    init = ["--init", str(out / "pretrain.ckpt")] if stage == "finetune" else []
+    return run_cli(stage, "--dataset", str(data), "--out-dir", str(out), "--epochs", str(epochs),
+                   "--seed", "3", *init, *extra, *SMALL_MODEL)
+
+
+class TestResumeEquivalence:
+    """A 3-epoch stage stopped after k epochs, or whose k-th checkpoint write
+    failed, resumes to the bytes of an uninterrupted run: the stage's
+    checkpoint and the loss log."""
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, workspace, tmp_path_factory):
+        """A copy of the out dir after 3 pretrain epochs, and each stage's
+        (checkpoint, loss log) bytes after its 3 epochs."""
+        _, data = workspace
+        root = tmp_path_factory.mktemp("uninterrupted")
+        ends = {}
+        for stage in STAGES:
+            assert run_stage(data, root / "run", stage, 3) == 0
+            if stage == "pretrain":
+                shutil.copytree(root / "run", root / "pretrained")
+            ends[stage] = ((root / "run" / f"{stage}.ckpt").read_bytes(),
+                           (root / "run" / "train_log.csv").read_bytes())
+        return root / "pretrained", ends
+
+    def out_dir(self, uninterrupted, tmp_path, stage):
+        """An out dir where the stage starts as in the uninterrupted run."""
+        if stage == "pretrain":
+            return tmp_path / "run"
+        return shutil.copytree(uninterrupted[0], tmp_path / "run")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stopped_run_resumes_to_the_same_bytes(self, workspace, uninterrupted, tmp_path,
+                                                   stage, k):
+        _, data = workspace
+        out = self.out_dir(uninterrupted, tmp_path, stage)
+        assert run_stage(data, out, stage, k) == 0
+        assert run_stage(data, out, stage, 3, "--resume") == 0
+        ends = ((out / f"{stage}.ckpt").read_bytes(), (out / "train_log.csv").read_bytes())
+        assert ends == uninterrupted[1][stage]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_failed_checkpoint_write_resumes_to_the_same_bytes(
+            self, workspace, uninterrupted, tmp_path, monkeypatch, stage, k):
+        _, data = workspace
+        out = self.out_dir(uninterrupted, tmp_path, stage)
+        ckpt = out / f"{stage}.ckpt"
+        writes = []
+
+        def save_failing_at_k(*args, **kwargs):
+            writes.append(ckpt.read_bytes() if ckpt.exists() else None)
+            if len(writes) == k:
+                fail_atomic_writes(monkeypatch)
+            return save_checkpoint(*args, **kwargs)
+
+        monkeypatch.setattr(train, "save_checkpoint", save_failing_at_k)
+        assert run_stage(data, out, stage, 3) == 3
+        monkeypatch.undo()
+        assert len(writes) == k and not any(n.endswith(".tmp") for n in os.listdir(out))
+        if k == 1:
+            assert not ckpt.exists()
+        else:
+            assert ckpt.read_bytes() == writes[-1]
+            assert load_checkpoint(ckpt)[1]["epoch"] == k - 1
+        assert run_stage(data, out, stage, 3, "--resume") == 0
+        assert (ckpt.read_bytes(), (out / "train_log.csv").read_bytes()) == \
+            uninterrupted[1][stage]
 
 
 class TestEvalCommand:

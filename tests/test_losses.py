@@ -10,13 +10,12 @@ from whamkit import body, geom
 from whamkit.autodiff import Tensor
 from whamkit.errors import NumericError
 from whamkit.gradcheck import grad_check
-from whamkit.losses import (LossWeights, _mean_sq_error, _weighted_sum, contact_loss,
-                            foot_sliding_loss, reprojection_loss, total_loss)
+from whamkit.losses import (LossWeights, _mean_sq_error, contact_loss, foot_sliding_loss,
+                            reprojection_loss, total_loss)
 from whamkit.model import ForwardOutputs, extract_velocities
 from whamkit.train import build_batch, make_chunks
-from tests.conftest import (composed_mean_sq_error, composed_reprojection_loss,
-                            composed_weighted_sum, toy_bundles)
-from tests.test_trace_targets import load_spans
+from tests.conftest import toy_bundles
+from tests.test_kernels import KERNELS, check_nodes, check_reference, mean_sq_error, reprojection
 
 
 def truth_logits(labels: np.ndarray) -> np.ndarray:
@@ -178,24 +177,9 @@ class TestTotalLoss:
 
 class TestWeightedSum:
     def test_one_node_matches_composed_sum_bit_for_bit(self):
-        """The weighted total is one tape node where the composed sum takes
-        one multiply per term and an add per term after the first."""
-        rng = np.random.default_rng(44)
-        names = [f.name for f in dataclasses.fields(LossWeights)]
-        values = rng.uniform(0, 3, size=len(names))
-        coeffs = {n: float(c) for n, c in zip(names, rng.uniform(0, 2, size=len(names)))}
-        weights = LossWeights(**{**coeffs, "cascade": 0.0})
-        results = []
-        for fn in (_weighted_sum, composed_weighted_sum):
-            terms = {n: Tensor(v, requires_grad=True) for n, v in zip(names, values)}
-            total = fn(terms, weights)
-            nodes = load_spans().tape_size(total)[0]
-            total.backward()
-            results.append((nodes, total.item(), [t.grad for t in terms.values()]))
-        (nodes, got, got_grads), (composed_nodes, want, want_grads) = results
-        assert nodes == 1 and composed_nodes == 2 * len(names) - 1
-        assert got == want
-        assert all(np.array_equal(a, b) for a, b in zip(got_grads, want_grads))
+        row = KERNELS["losses._weighted_sum"]
+        check_reference(row, row.cases["terms"])
+        check_nodes(row, row.cases["terms"])
 
 
 class TestReprojectionLoss:
@@ -307,72 +291,32 @@ class TestLossGradients:
 
 
 class TestSquaredErrorTerm:
-    """Each squared-error term is one tape node whose value and gradients
-    equal the composed subtract, square, sum and mean nodes bit for bit."""
+    """Each squared-error term and the reprojection error against their
+    composed references: the losses rows of tests/test_kernels.py."""
 
+    MSE, REPROJECTION = KERNELS["losses._mean_sq_error"], KERNELS["losses.reprojection_loss"]
     SHAPES = {0: ((4, 3, 20), (1, 3, 20)), 1: ((4, 3, 21, 3), (4, 3, 21, 3)),
               2: ((4, 3, 3, 3), (4, 3, 3, 3))}
 
-    def operands(self, norm_axes):
-        rng = np.random.default_rng(40 + norm_axes)
-        pred_shape, target_shape = self.SHAPES[norm_axes]
-        return rng.normal(size=pred_shape), rng.normal(size=target_shape)
-
     @pytest.mark.parametrize("norm_axes", [0, 1, 2])
     def test_matches_composed_reference_bit_for_bit(self, norm_axes):
-        pred, target = self.operands(norm_axes)
-        results = []
-        for fn in (_mean_sq_error, composed_mean_sq_error):
-            p = Tensor(pred, requires_grad=True)
-            t = Tensor(target, requires_grad=True)
-            loss = fn(p, t, norm_axes=norm_axes) * 0.7
-            value = loss.item()
-            loss.backward()
-            results.append((value, p.grad, t.grad))
-        (v1, gp1, gt1), (v2, gp2, gt2) = results
-        assert v1 == v2
-        assert gt1.shape == self.SHAPES[norm_axes][1]
-        assert np.array_equal(gp1, gp2) and np.array_equal(gt1, gt2)
+        check_reference(self.MSE, mean_sq_error(*self.SHAPES[norm_axes], norm_axes))
 
     @pytest.mark.parametrize("norm_axes", [0, 1, 2])
     def test_one_tape_node_per_term(self, norm_axes):
-        pred, target = self.operands(norm_axes)
-        loss = _mean_sq_error(Tensor(pred, requires_grad=True), target, norm_axes=norm_axes)
-        assert load_spans().tape_size(loss)[0] == 1
+        check_nodes(self.MSE, mean_sq_error(*self.SHAPES[norm_axes], norm_axes))
 
     def test_constant_target_gets_no_gradient(self):
-        pred, target = self.operands(1)
-        t = Tensor(target)
-        _mean_sq_error(Tensor(pred, requires_grad=True), t).backward()
+        t = Tensor(np.ones((4, 3, 21, 3)))
+        pred = Tensor(np.random.default_rng(41).normal(size=t.shape), requires_grad=True)
+        _mean_sq_error(pred, t).backward()
         assert t.grad is None
 
-    def reprojection_case(self):
-        rng = np.random.default_rng(43)
-        cam = rng.normal(0, 0.3, size=(5, 2, 17, 3)) + [0.0, 0.0, 3.0]
-        cam[0, 0, :3, 2] = [0.05, -0.2, 1e-4]          # clamped depths and the hinge
-        return (cam, rng.uniform(0, 640, size=(5, 2, 17, 2)),
-                rng.uniform(size=(5, 2, 17)) < 0.8, rng.uniform(500, 700, 2),
-                rng.uniform(300, 340, 2), rng.uniform(220, 260, 2), 640.0)
-
     def test_reprojection_matches_composed_reference_bit_for_bit(self):
-        cam, *rest = self.reprojection_case()
-        results = []
-        for fn in (lambda c: reprojection_loss(c, *rest)[0],
-                   lambda c: composed_reprojection_loss(c, *rest)):
-            c = Tensor(cam, requires_grad=True)
-            loss = fn(c)
-            value = loss.item()
-            loss.backward()
-            results.append((value, c.grad))
-        assert results[0][0] == results[1][0]
-        assert np.array_equal(results[0][1], results[1][1])
+        check_reference(self.REPROJECTION, reprojection(clamped=True))
 
     def test_reprojection_error_is_one_tape_node(self):
         """The weighted squared error takes one node where the composed ops
-        take seven: subtract, scale, square, weight, two sums, normalize."""
-        cam, *rest = self.reprojection_case()
-        fused = reprojection_loss(Tensor(cam, requires_grad=True), *rest)[0]
-        composed = composed_reprojection_loss(Tensor(cam, requires_grad=True), *rest)
-        tape_size = load_spans().tape_size
-        # The hinge's mean square is one node against three composed ones.
-        assert tape_size(fused)[0] == tape_size(composed)[0] - 6 - 2
+        take seven (subtract, scale, square, weight, two sums, normalize),
+        and the hinge's mean square one against three: 8 fewer in all."""
+        check_nodes(self.REPROJECTION, reprojection(clamped=True))

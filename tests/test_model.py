@@ -11,13 +11,11 @@ from whamkit.errors import InvalidInputError
 from whamkit.gradcheck import forward_backward
 from whamkit.losses import LossWeights
 from whamkit.model import (ENCODER_INPUT_DIM, AblationFlags, ModelDims, WhamModel,
-                           WhamParams, adjust_velocity, center_pose, extract_velocities,
-                           rollout, rollout_np)
+                           WhamParams, adjust_velocity, extract_velocities, rollout)
 from whamkit.train import TrainingModule
 
-from tests.conftest import (composed_center_pose, composed_integrate, composed_rollout,
-                            is_rotation, square)
-from tests.test_autodiff import check
+from tests.conftest import check, is_rotation, rollout_np, square
+from tests.test_kernels import KERNELS, centering, check_nodes, check_reference, integrator, roll
 from tests.test_trace_targets import load_spans
 
 DIMS = ModelDims(hidden=8, feature_dim=8, integrator_hidden=8, init_hidden=16)
@@ -245,53 +243,25 @@ class TestResidualIdentities:
 
 
 class TestFusedStages:
-    """The integrator, the pose centering and the roll-out are one tape node
-    each, whose value and gradients equal the composed nodes' bit for bit."""
+    """The integrator, the pose centering and the roll-out against their
+    composed chains: rows of tests/test_kernels.py."""
 
-    def run_both(self, fused, composed, leaf_data, params=()):
-        results = []
-        for fn in (fused, composed):
-            for p in params:
-                p.grad = None
-            leaf = Tensor(leaf_data, requires_grad=True)
-            out = fn(leaf)
-            nodes = load_spans().tape_size(out)[0]
-            probe = np.random.default_rng(30).normal(size=out.shape)
-            ad.tsum(out * Tensor(probe)).backward()
-            results.append((nodes, out.data, [leaf.grad] + [p.grad for p in params]))
-        (fused_nodes, got, got_grads), (_, want, want_grads) = results
-        assert fused_nodes == 1
-        assert np.array_equal(got, want)
-        for a, b in zip(got_grads, want_grads):
-            assert a.shape == b.shape and np.array_equal(a, b)
+    def check(self, key, make):
+        check_reference(KERNELS[key], make)
+        check_nodes(KERNELS[key], make)
 
     def test_integrate_matches_composed_chain(self):
-        wham = WhamModel(WhamParams(DIMS, seed=3))
-        rng = np.random.default_rng(31)
-        params = [wham.params[name] for name in wham.params.slices()
-                  if name.startswith("integrator")]
-        for p in params:
-            p.data = rng.normal(0, 0.5, size=p.data.shape)
-        feats = rng.normal(size=(7, 3, DIMS.feature_dim))
-        phi = rng.normal(size=(7, 3, DIMS.hidden))
-        act = np.concatenate([phi, feats], axis=2) @ params[0].data + params[1].data
-        assert (act > 0).any() and (act <= 0).any()
-        self.run_both(lambda x: wham.integrate(x, feats),
-                      lambda x: composed_integrate(wham, x, feats), phi, params)
+        self.check("layers.DenseStack.__call__", integrator)
 
     @pytest.mark.parametrize("shape", [(5, 63), (4, 3, 63), (4, 1, 63)])
     def test_center_pose_matches_composed_chain(self, shape):
-        flat = np.random.default_rng(32).normal(size=shape)
-        self.run_both(center_pose, composed_center_pose, flat)
+        self.check("model.center_pose", centering(shape))
 
     @pytest.mark.parametrize("frames", [2, 3, 81])
     @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("rot_grad", [True, False])
     def test_rollout_matches_composed_chain(self, frames, batch, rot_grad):
-        _, _, rot, vel = trajectory_inputs(frames, batch, seed=frames + batch)
-        rot = Tensor(rot, requires_grad=rot_grad)
-        self.run_both(lambda v: rollout(rot, v), lambda v: composed_rollout(rot, v), vel,
-                      [rot] if rot_grad else [])
+        self.check("model.rollout", roll(frames, batch, rot_grad))
 
 
 class TestCausality:

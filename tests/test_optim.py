@@ -100,6 +100,20 @@ class TestCheckpoint:
         assert (sections["params"] == vec).all()
         assert (sections["adam_m"] == vec * 0.5).all()
 
+    def test_named_sections_are_read_alone(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        vec = np.random.default_rng(1).normal(size=257)
+        save_checkpoint(path, {"hidden": 8}, vec, meta={"epoch": 3},
+                        extra_sections={"adam_m": vec * 0.5, "adam_v": vec * vec})
+        _, _, full = load_checkpoint(path)
+        dims, meta, params = load_checkpoint(path, ("params",))
+        assert (dims, meta, list(params)) == ({"hidden": 8}, {"epoch": 3}, ["params"])
+        assert params["params"].tobytes() == full["params"].tobytes()
+        assert params["params"].flags.writeable
+        path.write_bytes(path.read_bytes()[:-8])      # adam_v one value short
+        with pytest.raises(CheckpointError, match="adam_v"):
+            load_checkpoint(path, ("params",))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPTxxxx")

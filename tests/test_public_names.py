@@ -19,11 +19,6 @@ PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "whamkit", "*.py")))
 BENCHMARK = sorted(p for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
                    if not os.path.basename(p).startswith("test_"))
 
-# model.rollout_np is the numpy reference that the rollout tests compare
-# the autodiff rollout against.
-ALLOWED = {"model.rollout_np"}
-
-
 def module_name(path: str) -> str:
     return os.path.basename(path)[:-3]
 
@@ -110,9 +105,8 @@ def test_every_public_name_is_used():
         defined[name] = defined.get(name, 0) + 1
     used = top_level_uses()
     unused = [qualified for module, qualified, name, method in definitions
-              if qualified not in ALLOWED
-              and (len(re.findall(rf"\b{name}\b", text)) <= defined[name] if method
-                   else (module, name) not in used)]
+              if (len(re.findall(rf"\b{name}\b", text)) <= defined[name] if method
+                  else (module, name) not in used)]
     assert not unused, f"unused outside the tests: {unused}"
 
 

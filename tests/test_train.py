@@ -12,8 +12,8 @@ from whamkit.losses import LossWeights
 from whamkit.model import ModelDims, WhamModel, WhamParams
 from whamkit.optim import load_checkpoint, save_checkpoint
 from whamkit.synth import SynthConfig
-from whamkit.train import (TrainingModule, _append_log, _lr_scale, build_batch, load_model,
-                           make_chunks, run_training)
+from whamkit.train import (STAGES, TrainingModule, _append_log, _lr_scale, build_batch,
+                           load_model, make_chunks, run_training)
 from tests.conftest import TOY_DIMS, fail_atomic_writes, toy_bundles
 
 
@@ -171,25 +171,26 @@ class TestRunTraining:
 class TestTrainLog:
     EPOCH0 = {"total": 1.5, "pose": 0.1}
     EPOCH1 = {"total": 1.0 / 3.0, "pose": 0.25}
-    FRESH = b"epoch,term,value\r\n0,pose,0.1\r\n0,total,1.5\r\n"
-    RESUMED = FRESH + b"1,pose,0.25\r\n1,total,0.3333333333333333\r\n"
+    FRESH = b"stage,epoch,term,value\r\npretrain,0,pose,0.1\r\npretrain,0,total,1.5\r\n"
+    RESUMED = FRESH + b"pretrain,1,pose,0.25\r\npretrain,1,total,0.3333333333333333\r\n"
 
     def test_bytes_of_a_fresh_and_a_resumed_stage(self, tmp_path):
         path = tmp_path / "train_log.csv"
-        _append_log(path, 0, self.EPOCH0, fresh=True)
+        path.write_bytes(b"epoch,term,value\r\n0,pose,0.1\r\n")    # a log without stages
+        _append_log(path, "pretrain", 0, self.EPOCH0)
         assert path.read_bytes() == self.FRESH
-        _append_log(path, 1, self.EPOCH1, fresh=False)
+        _append_log(path, "pretrain", 1, self.EPOCH1)
         assert path.read_bytes() == self.RESUMED
-        _append_log(path, 0, self.EPOCH0, fresh=True)
+        _append_log(path, "pretrain", 0, self.EPOCH0)
         assert path.read_bytes() == self.FRESH
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_failed_write_keeps_the_previous_log(self, tmp_path, monkeypatch, fresh):
         path = tmp_path / "train_log.csv"
-        _append_log(path, 0, self.EPOCH0, fresh=True)
+        _append_log(path, "pretrain", 0, self.EPOCH0)
         fail_atomic_writes(monkeypatch, limit=len(self.FRESH) + 5)
         with pytest.raises(OSError):
-            _append_log(path, 1, self.EPOCH1, fresh=fresh)
+            _append_log(path, "pretrain", 0 if fresh else 1, self.EPOCH1)
         assert path.read_bytes() == self.FRESH
         assert os.listdir(tmp_path) == ["train_log.csv"]
 
@@ -203,4 +204,30 @@ class TestTrainLog:
         after = log.read_bytes()
         assert after.startswith(before)
         rows = list(csv.reader(after[len(before):].decode().splitlines()))
-        assert {row[0] for row in rows} == {"2"} and len(rows) == before.count(b"\n0,")
+        assert {row[1] for row in rows} == {"2"} and len(rows) == before.count(b"\npretrain,0,")
+
+    def test_a_stage_replaces_its_own_and_later_rows(self, tmp_path):
+        """A finetune write keeps the pretrain rows; a pretrain write drops
+        every finetune row, which came from the pretrain weights it replaces."""
+        path = tmp_path / "train_log.csv"
+
+        def logged():
+            return [r[:2] for r in csv.reader(path.read_text().splitlines()[1::2])]
+
+        _append_log(path, "pretrain", 0, self.EPOCH0)
+        _append_log(path, "pretrain", 1, self.EPOCH1)
+        _append_log(path, "finetune", 0, self.EPOCH1)
+        _append_log(path, "finetune", 1, self.EPOCH1)
+        _append_log(path, "finetune", 1, self.EPOCH0)
+        assert logged() == [["pretrain", "0"], ["pretrain", "1"], ["finetune", "0"],
+                            ["finetune", "1"]]
+        assert path.read_text().splitlines()[-1] == "finetune,1,total,1.5"
+        _append_log(path, "pretrain", 1, self.EPOCH0)
+        assert logged() == [["pretrain", "0"], ["pretrain", "1"]]
+
+    def test_finetune_keeps_the_pretrain_log(self, tmp_path, tiny_dataset):
+        cfg = tiny_cfg(tiny_dataset, str(tmp_path / "run"), epochs=3)
+        run_training(cfg, "finetune", init_checkpoint=run_training(cfg, "pretrain"))
+        with open(tmp_path / "run" / "train_log.csv", newline="") as fh:
+            logged = {(row["stage"], row["epoch"]) for row in csv.DictReader(fh)}
+        assert logged == {(stage, str(e)) for stage in STAGES for e in range(3)}
