@@ -37,8 +37,14 @@ NUM_KEYPOINTS_2D = 17  # the COCO subset, used for 2D projection
 
 L = {name: i for i, name in enumerate(LANDMARK_NAMES)}
 
-# Contact channel order follows landmark order 17..20.
+HIPS = [L["left_hip"], L["right_hip"]]  # the root is their midpoint
+
+# Contact channel order follows landmark order 17..20, which FOOT_SLICE
+# picks as a basic slice (a gather would move the tape's getitem backward to
+# np.add.at); a landmark is in contact where p > CONTACT_THRESHOLD.
 CONTACT_LANDMARKS = (L["left_toe"], L["right_toe"], L["left_heel"], L["right_heel"])
+FOOT_SLICE = slice(CONTACT_LANDMARKS[0], CONTACT_LANDMARKS[-1] + 1)
+CONTACT_THRESHOLD = 0.5
 
 # Canonical rest positions in the root frame (meters), standing upright.
 # Pelvis (midpoint of hips) at the origin, ground at y = -0.93.
@@ -149,7 +155,7 @@ class MotionSequence:
             raise InvalidInputError("motion sequence needs at least 2 frames")
         if self.local_pose.shape != (t, NUM_LANDMARKS, 3):
             raise InvalidInputError("local_pose shape mismatch")
-        mid_hip = 0.5 * (self.local_pose[:, L["left_hip"]] + self.local_pose[:, L["right_hip"]])
+        mid_hip = self.local_pose[:, HIPS].mean(axis=1)
         if np.abs(mid_hip).max() > tol:
             raise InvalidInputError("pelvis (hip midpoint) must sit at the root-frame origin")
         if not np.isfinite(world_landmarks(self)).all():
@@ -314,9 +320,8 @@ def generate_gait(kind: str, num_frames: int, fps: float = 30.0, seed: int = 0,
         for name, world in (("ankle", ankle_w), ("heel", heel_w), ("toe", toe_w)):
             local[:, L[f"{side}_{name}"]] = np.einsum("tji,tj->ti", root_rot, world - root_pos)
 
-    hips = [L["left_hip"], L["right_hip"]]
     local[:, [L["left_knee"], L["right_knee"]]] = _two_bone_ik(
-        local[:, hips], local[:, [L["left_ankle"], L["right_ankle"]]], thigh, shin)
+        local[:, HIPS], local[:, [L["left_ankle"], L["right_ankle"]]], thigh, shin)
 
     # Erode stance by one frame on each side so labeled frames have zero
     # velocity under both difference conventions.
@@ -356,7 +361,7 @@ def resample_speed(seq: MotionSequence, factor: float) -> MotionSequence:
     root_rot = geom.slerp(seq.root_rot[i0], seq.root_rot[i0 + 1], frac)
     out = MotionSequence(fps=seq.fps, local_pose=local, bone_scales=seq.bone_scales.copy(),
                          root_rot=root_rot, root_pos=root_pos,
-                         contacts=np.zeros((n_out, 4)))
+                         contacts=np.zeros((n_out, len(CONTACT_LANDMARKS))))
     from .synth import generate_contact_labels  # local import to avoid a cycle
     out.contacts = generate_contact_labels(out)
     return out

@@ -11,12 +11,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import dataset as ds
 from .bench import run_bench
-from .config import FINETUNE_EPOCHS_DEFAULT, load_config
+from .config import FINETUNE_EPOCHS_DEFAULT, RunConfig, load_config
 from .errors import (CheckpointError, InvalidInputError, NumericError, WhamkitError)
 from .fileio import atomic_write
 # infer_bundle stays importable from here: the benchmark's span tracer
@@ -27,7 +28,7 @@ from .gradcheck import grad_check
 from .losses import LossWeights
 from .model import ModelDims, WhamModel, WhamParams
 from .synth import SynthConfig
-from .train import TrainingModule, build_batch, load_model, make_chunks, run_training
+from .train import STAGES, TrainingModule, build_batch, load_model, make_chunks, run_training
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,23 +36,23 @@ EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
 
-def _overrides(args, flags: tuple) -> dict:
-    """Config values from the --set pairs, then from those of the flags
-    that were given."""
+def _overrides(args, cls) -> dict:
+    """Config values from the --set pairs, then from each given flag that
+    names a field of the config dataclass cls."""
     out = {}
     for pair in args.set or []:
         if "=" not in pair:
             raise InvalidInputError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         out[key.strip()] = value.strip()
-    for key in flags:
-        if getattr(args, key) is not None:
-            out[key] = getattr(args, key)
+    for f in fields(cls):
+        if getattr(args, f.name, None) is not None:
+            out[f.name] = getattr(args, f.name)
     return out
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(overrides=_overrides(args, ("seq_len",)), cls=SynthConfig)
+    cfg = load_config(overrides=_overrides(args, SynthConfig), cls=SynthConfig)
     manifest = ds.synthesize_dataset(args.out, cfg, args.seed, args.count)
     for split in ("train", "val", "test"):
         for k in manifest["splits"][split]:
@@ -62,7 +63,7 @@ def cmd_synth(args) -> int:
 
 
 def _run_config(args, stage: str):
-    overrides = _overrides(args, ("dataset", "out_dir", "seed", "epochs", "batch_size"))
+    overrides = _overrides(args, RunConfig)
     defaults = {"epochs": FINETUNE_EPOCHS_DEFAULT} if stage == "finetune" else {}
     cfg = load_config(args.config, overrides, defaults=defaults)
     if not os.path.isdir(cfg.dataset):
@@ -70,25 +71,16 @@ def _run_config(args, stage: str):
     return cfg
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _run_config(args, "pretrain")
-    path = run_training(cfg, "pretrain", resume=args.resume)
-    print(f"pretrain checkpoint: {path}")
-    return EXIT_OK
-
-
-def cmd_finetune(args) -> int:
-    cfg = _run_config(args, "finetune")
-    path = run_training(cfg, "finetune", init_checkpoint=args.init, resume=args.resume)
-    print(f"finetune checkpoint: {path}")
+def cmd_train(args) -> int:
+    stage = args.command
+    path = run_training(_run_config(args, stage), stage,
+                        init_checkpoint=getattr(args, "init", None), resume=args.resume)
+    print(f"{stage} checkpoint: {path}")
     return EXIT_OK
 
 
 def _ablation_flags(args) -> AblationFlags:
-    return AblationFlags(use_integrator=not args.no_integrator,
-                         use_omega=not args.no_omega,
-                         use_refiner=not args.no_refiner,
-                         use_neural_init=not args.no_neural_init)
+    return AblationFlags(**{f.name: getattr(args, f.name) for f in fields(AblationFlags)})
 
 
 def cmd_infer(args) -> int:
@@ -160,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a synthesis config field")
     p.set_defaults(func=cmd_synth)
 
-    for stage in ("pretrain", "finetune"):
+    for stage in STAGES:
         p = sub.add_parser(stage, help=f"{stage} the model")
         p.add_argument("--dataset", default=None)
         p.add_argument("--out-dir", dest="out_dir", default=None)
@@ -172,13 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE")
         if stage == "finetune":
             p.add_argument("--init", required=True, help="pretrain checkpoint")
-        p.set_defaults(func=cmd_pretrain if stage == "pretrain" else cmd_finetune)
+        p.set_defaults(func=cmd_train)
 
     def add_ablations(p):
-        p.add_argument("--no-integrator", action="store_true")
-        p.add_argument("--no-omega", action="store_true")
-        p.add_argument("--no-refiner", action="store_true")
-        p.add_argument("--no-neural-init", action="store_true")
+        for f in fields(AblationFlags):  # use_neural_init: --no-neural-init
+            p.add_argument("--no-" + f.name.removeprefix("use_").replace("_", "-"),
+                           dest=f.name, action="store_false")
 
     p = sub.add_parser("infer", help="run inference, write output NDJSON")
     p.add_argument("--checkpoint", required=True)

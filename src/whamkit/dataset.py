@@ -34,8 +34,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import geom
-from .body import (MotionSequence, NUM_BONES, NUM_KEYPOINTS_2D, NUM_LANDMARKS,
-                   SKELETON_VERSION, generate_gait, resample_speed, scales_from_pose)
+from .body import (CONTACT_LANDMARKS, MotionSequence, NUM_BONES, NUM_KEYPOINTS_2D,
+                   NUM_LANDMARKS, SKELETON_VERSION, generate_gait, resample_speed,
+                   scales_from_pose)
 from .errors import InvalidInputError
 from .fileio import atomic_write
 from .model import WhamOutput, pack_encoder_input, extract_velocities
@@ -53,7 +54,7 @@ def _dump(obj) -> str:
 # and each key, whose value is a flat list, or a number when the shape is ().
 MOTION_KEYS = (("gamma", "root_rot", (3, 3), float), ("tau", "root_pos", (3,), float),
                ("local", "local_pose", (NUM_LANDMARKS, 3), float),
-               ("contact", "contacts", (4,), float))
+               ("contact", "contacts", (len(CONTACT_LANDMARKS),), float))
 CAMERA_KEYS = (("r", "rotations", (3, 3), float), ("tcam", "translations", (3,), float),
                ("omega", "omega", (3,), float))
 KEYPOINT_KEYS = (("kp", "keypoints", (NUM_KEYPOINTS_2D, 2), float),
@@ -61,13 +62,12 @@ KEYPOINT_KEYS = (("kp", "keypoints", (NUM_KEYPOINTS_2D, 2), float),
                  ("center", "center", (2,), float), ("scale", "scale", (), float),
                  ("carried", "carried", (), bool))
 # The motion keys of an inferred sequence plus its intermediate channels.
-OUTPUT_KEYS = (("gamma", "root_rot", (3, 3), float), ("tau", "root_pos", (3,), float),
-               ("local", "local_pose", (NUM_LANDMARKS, 3), float),
-               ("contact", "contact", (4,), float), ("gamma0", "root_rot0", (3, 3), float),
-               ("v0", "vel0", (3,), float), ("v_adj", "vel_adj", (3,), float),
-               ("v", "vel", (3,), float), ("gamma_cam", "cam_root_rot", (3, 3), float),
-               ("cam_pos", "cam_root_pos", (3,), float),
-               ("beta", "bone_scales", (NUM_BONES,), float))
+OUTPUT_KEYS = MOTION_KEYS[:3] + (
+    ("contact", "contact", (len(CONTACT_LANDMARKS),), float),
+    ("gamma0", "root_rot0", (3, 3), float), ("v0", "vel0", (3,), float),
+    ("v_adj", "vel_adj", (3,), float), ("v", "vel", (3,), float),
+    ("gamma_cam", "cam_root_rot", (3, 3), float), ("cam_pos", "cam_root_pos", (3,), float),
+    ("beta", "bone_scales", (NUM_BONES,), float))
 
 
 def _write(path, header: dict, obj, keys) -> None:

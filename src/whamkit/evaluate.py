@@ -15,7 +15,7 @@ from . import geom, metrics, svg
 from .body import world_landmarks
 from .dataset import SequenceBundle
 from .fileio import atomic_write
-from .model import AblationFlags, WhamModel, WhamOutput, extract_velocities
+from .model import AblationFlags, WhamModel, WhamOutput
 
 CSV_COLUMNS = ("seq",) + metrics.MetricReport.FIELDS + ("segments", "flags")
 
@@ -68,8 +68,7 @@ def report_for(pred: WhamOutput, bundle: SequenceBundle, pred_world: np.ndarray,
 
 def oracle_output(bundle: SequenceBundle) -> WhamOutput:
     """A prediction equal to the ground truth (for pipeline self-checks)."""
-    seq, cams = bundle.seq, bundle.cams
-    vel = extract_velocities(seq.root_rot, seq.root_pos)
+    seq, cams, vel = bundle.seq, bundle.cams, bundle.root_vel
     return WhamOutput(fps=seq.fps, local_pose=seq.local_pose, contact=seq.contacts,
                       cam_root_pos=np.einsum("tij,tj->ti", cams.rotations, seq.root_pos)
                       + cams.translations,

@@ -19,9 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from . import rotops
 from .autodiff import Tensor
-from .body import NUM_KEYPOINTS_2D
+from .body import FOOT_SLICE, NUM_KEYPOINTS_2D
 from .errors import InvalidInputError, NumericError
-from .model import FOOT_SLICE, ForwardOutputs
+from .model import ForwardOutputs, place
 
 MIN_REPROJECTION_DEPTH = 1e-3
 DEPTH_HINGE = 0.1  # soft floor (m) pushing early depth predictions positive
@@ -148,7 +148,6 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
     (T,B,3,3), omega (T,B,3), kp_px (T,B,17,2), kp_vis (T,B,17), focal/cx/cy
     (B,), image_w (scalar).
     """
-    t, b = out.vel0.shape[0], out.vel0.shape[1]
     pose_t = Tensor(truth["local_pose"])
 
     terms: dict[str, Tensor] = {}
@@ -158,9 +157,8 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
     terms["kp3d"] = _mean_sq_error(out.kp3d_cascade, pose_t) + terms["pose"]
     terms["cascade"] = _mean_sq_error(out.kp3d_cascade, out.local_pose)
 
-    cam_pts = (ad.matmul(out.local_pose[:, :, :NUM_KEYPOINTS_2D, :],
-                         ad.swap_last(out.cam_root_rot))
-               + ad.reshape(out.cam_root_pos, (t, b, 1, 3)))
+    cam_pts = place(out.local_pose[:, :, :NUM_KEYPOINTS_2D, :], out.cam_root_rot,
+                    out.cam_root_pos)
     terms["kp2d"], _ = reprojection_loss(cam_pts, truth["kp_px"], truth["kp_vis"],
                                          truth["focal"], truth["cx"], truth["cy"],
                                          truth["image_w"])
@@ -179,8 +177,7 @@ def total_loss(out: ForwardOutputs, truth: dict, weights: LossWeights) -> tuple[
     omega_pred = rotops.so3_log(rel)
     terms["ang_vel"] = _mean_sq_error(omega_pred, truth["omega"][1:])
 
-    feet_w = (ad.matmul(out.local_pose[:, :, FOOT_SLICE, :], ad.swap_last(out.root_rot))
-              + ad.reshape(out.root_pos, (t, b, 1, 3)))
+    feet_w = place(out.local_pose[:, :, FOOT_SLICE, :], out.root_rot, out.root_pos)
     terms["foot_slide"] = foot_sliding_loss(feet_w[1:] - feet_w[:-1],
                                             truth["contacts"][:-1])
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .body import CONTACT_LANDMARKS, L
+from .body import CONTACT_LANDMARKS, CONTACT_THRESHOLD, HIPS
 from .errors import InvalidInputError, UndefinedMetricError
 
 MM = 1000.0
-HIP_PAIR = (L["left_hip"], L["right_hip"])
 SEGMENT_LEN = 100  # frames per world-MPJPE segment
 
 
@@ -68,13 +67,13 @@ def jitter(pred_world: np.ndarray, fps: float) -> float:
 
 def foot_slide(pred_foot_world: np.ndarray, contact_truth: np.ndarray) -> float:
     """Mean per-frame displacement (mm) of foot landmarks over frames whose
-    ground-truth contact probability exceeds 0.5."""
+    ground-truth contact probability exceeds CONTACT_THRESHOLD."""
     x = np.asarray(pred_foot_world, dtype=float)
     p = np.asarray(contact_truth, dtype=float)
     if x.shape[0] != p.shape[0] or x.shape[1] != p.shape[1]:
         raise InvalidInputError("foot positions and contact truth lengths differ")
     disp = np.linalg.norm(x[1:] - x[:-1], axis=-1)  # (T-1, F)
-    mask = p[1:] > 0.5
+    mask = p[1:] > CONTACT_THRESHOLD
     if not mask.any():
         raise UndefinedMetricError("no frames in contact")
     return float(disp[mask].mean() * MM)
@@ -82,7 +81,7 @@ def foot_slide(pred_foot_world: np.ndarray, contact_truth: np.ndarray) -> float:
 
 def roots(world: np.ndarray) -> np.ndarray:
     """(T, 3) root path, the hip midpoints of (T, 21, 3) landmarks."""
-    return world[:, list(HIP_PAIR), :].mean(axis=1)
+    return world[:, HIPS, :].mean(axis=1)
 
 
 def _yaw_of_heading(h: np.ndarray) -> float:

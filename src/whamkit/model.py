@@ -22,20 +22,18 @@ import numpy as np
 from . import autodiff as ad
 from . import rotops
 from .autodiff import Tensor
-from .body import CANONICAL, NUM_BONES, NUM_KEYPOINTS_2D, NUM_LANDMARKS, L
+from .body import (CANONICAL, CONTACT_LANDMARKS, CONTACT_THRESHOLD, FOOT_SLICE, HIPS,
+                   NUM_BONES, NUM_KEYPOINTS_2D, NUM_LANDMARKS)
 from .errors import InvalidInputError
 from .layers import Dense, DenseStack, GruLayer, ParamSet
 
 ENCODER_INPUT_DIM = NUM_KEYPOINTS_2D * 2 + NUM_KEYPOINTS_2D + 3  # 54
 POSE_DIM = NUM_LANDMARKS * 3
-FOOT_SLICE = slice(17, 21)
-CONTACT_THRESHOLD = 0.5
 INITIAL_DEPTH_GUESS = 5.0  # head bias prior on the camera-frame root depth, m
 
 # Pose heads predict offsets from the rest posture, so an untrained head
 # already emits a plausible body instead of a point cloud at the origin.
-_HIPS = [L["left_hip"], L["right_hip"]]
-_REST_ANCHOR = (CANONICAL - CANONICAL[_HIPS].mean(axis=0)).ravel()
+_REST_ANCHOR = (CANONICAL - CANONICAL[HIPS].mean(axis=0)).ravel()
 
 # Per-frame angular velocities (rad/frame) and egocentric velocities
 # (m/frame) are two orders of magnitude smaller than the unit-scale feature
@@ -77,7 +75,7 @@ class ModelDims:
         dense = lambda i, o: i * o + o
         return (gru(ENCODER_INPUT_DIM) + dense(h, POSE_DIM)
                 + dense(h + f, self.integrator_hidden) + dense(self.integrator_hidden, h)
-                + gru(h) + dense(h, POSE_DIM) + dense(h, 4) + dense(h, 3)
+                + gru(h) + dense(h, POSE_DIM) + dense(h, len(CONTACT_LANDMARKS)) + dense(h, 3)
                 + dense(h, NUM_BONES) + dense(h, 6)
                 + gru(h + 3 * OMEGA_TILE) + dense(h, 9)
                 + gru(h + 9) + dense(h, 9)
@@ -109,7 +107,8 @@ class WhamParams:
                                      rngs[2], zero_output=True)
         self.motion_gru = GruLayer(self.params, "motion_dec.gru", h, h, rngs[3])
         self.head_pose = Dense(self.params, "motion_dec.pose", h, POSE_DIM, rngs[4])
-        self.head_contact = Dense(self.params, "motion_dec.contact", h, 4, rngs[5])
+        self.head_contact = Dense(self.params, "motion_dec.contact", h, len(CONTACT_LANDMARKS),
+                                  rngs[5])
         self.head_contact.w.data /= CONTACT_LOGIT_GAIN
         self.head_contact.b.data /= CONTACT_LOGIT_GAIN
         self.head_cam_pos = Dense(self.params, "motion_dec.cam_pos", h, 3, rngs[6])
@@ -200,11 +199,11 @@ def center_pose(flat: Tensor) -> Tensor:
     for bit."""
     shape = flat.shape
     pose = (flat.data + _REST_ANCHOR).reshape(shape[:-1] + (NUM_LANDMARKS, 3))
-    out = pose - pose[..., _HIPS, :].mean(axis=-2, keepdims=True)
+    out = pose - pose[..., HIPS, :].mean(axis=-2, keepdims=True)
 
     def bw(g):
         shift = np.zeros_like(g)
-        shift[..., _HIPS, :] = (-g).sum(axis=-2, keepdims=True) / len(_HIPS)
+        shift[..., HIPS, :] = (-g).sum(axis=-2, keepdims=True) / len(HIPS)
         return ((g + shift).reshape(shape),)
 
     return ad._node(out, (flat,), bw)
@@ -246,6 +245,12 @@ def extract_velocities(root_rot: np.ndarray, root_pos: np.ndarray) -> np.ndarray
     return np.concatenate([diff, diff[-1:]], axis=0)
 
 
+def place(points: Tensor, rot: Tensor, pos: Tensor) -> Tensor:
+    """Root-frame points (T, B, N, 3) placed by the root orientations rot
+    (T, B, 3, 3) and positions pos (T, B, 3): points @ rot^T + pos."""
+    return ad.matmul(points, ad.swap_last(rot)) + ad.reshape(pos, pos.shape[:2] + (1, 3))
+
+
 def adjust_velocity(local_pose: Tensor, contact: Tensor,
                     root_rot0: Tensor, vel0: Tensor) -> Tensor:
     """Subtract the mean world velocity of in-contact foot landmarks,
@@ -254,14 +259,13 @@ def adjust_velocity(local_pose: Tensor, contact: Tensor,
     Foot world positions come from rolling out the first-stage trajectory.
     Velocities use the forward difference (the last frame repeats), so a
     subsequent rollout of the adjusted velocity cancels the stance-foot
-    drift exactly. The gate (p > 0.5) is a constant in the backward pass.
+    drift exactly. The gate (p > CONTACT_THRESHOLD) is constant in the backward pass.
     Frames with no landmark above the threshold have all-zero weights, so
     they keep vel0 unchanged and their output gradient reaches vel0 alone.
     """
     t, b = vel0.shape[0], vel0.shape[1]
     tau0 = rollout(root_rot0, vel0)
-    feet = local_pose[:, :, FOOT_SLICE, :]
-    feet_w = ad.matmul(feet, ad.swap_last(root_rot0)) + ad.reshape(tau0, (t, b, 1, 3))
+    feet_w = place(local_pose[:, :, FOOT_SLICE, :], root_rot0, tau0)
     dv = feet_w[1:] - feet_w[:-1]
     vel_f = dv[np.append(np.arange(t - 1), t - 2)]
 

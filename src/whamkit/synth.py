@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geom
-from .body import CONTACT_LANDMARKS, NUM_KEYPOINTS_2D, MotionSequence, world_landmarks
+from .body import (CONTACT_LANDMARKS, NUM_KEYPOINTS_2D, NUM_LANDMARKS, MotionSequence,
+                   world_landmarks)
 from .constants import CAMERA_BASE
 from .errors import InvalidInputError, SynthesisError
 
@@ -286,7 +287,7 @@ def feature_matrix(dim: int, seed: int) -> np.ndarray:
     """Fixed random encoding matrix shared across a dataset."""
     if dim < 1:
         raise InvalidInputError("feature dim must be >= 1")
-    in_dim = 3 * 21
+    in_dim = 3 * NUM_LANDMARKS
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0 / math.sqrt(in_dim), size=(dim, in_dim))
 

@@ -17,7 +17,8 @@ import whamkit.autodiff as ad
 from whamkit import dataset as ds, fileio, geom, losses, metrics
 from whamkit.constants import CAMERA_BASE
 from whamkit.losses import LossWeights
-from whamkit.model import _HIPS, _REST_ANCHOR, ModelDims, WhamModel, WhamParams
+from whamkit.body import HIPS
+from whamkit.model import _REST_ANCHOR, ModelDims, WhamModel, WhamParams
 from whamkit.synth import SynthConfig
 from whamkit.train import TrainingModule, build_batch, make_chunks
 
@@ -363,7 +364,7 @@ def composed_center_pose(flat):
     """model.center_pose as anchor add, reshape, hip gather, mean and
     subtract nodes."""
     pose = ad.reshape(flat + ad.Tensor(_REST_ANCHOR), flat.shape[:-1] + (21, 3))
-    return pose - ad.tmean(pose[..., _HIPS, :], axis=-2, keepdims=True)
+    return pose - ad.tmean(pose[..., HIPS, :], axis=-2, keepdims=True)
 
 
 def composed_rollout(root_rot, vel):

@@ -55,6 +55,13 @@ class TestSkeleton:
         names = [body.LANDMARK_NAMES[i] for i in body.CONTACT_LANDMARKS]
         assert names == ["left_toe", "right_toe", "left_heel", "right_heel"]
 
+    def test_foot_slice_picks_the_contact_landmarks(self):
+        assert tuple(range(body.NUM_LANDMARKS))[body.FOOT_SLICE] == body.CONTACT_LANDMARKS
+
+    def test_root_is_the_hip_midpoint(self):
+        assert [body.LANDMARK_NAMES[i] for i in body.HIPS] == ["left_hip", "right_hip"]
+        assert np.abs(body.CANONICAL[body.HIPS].mean(axis=0)).max() == 0.0
+
 
 @pytest.fixture(scope="module")
 def walk_long():

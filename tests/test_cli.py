@@ -5,18 +5,19 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from whamkit import dataset as ds
-from whamkit.cli import build_parser, main, _run_config
+from whamkit.cli import build_parser, main, _ablation_flags, _run_config
 from whamkit.config import RunConfig, load_config
 from whamkit.errors import CheckpointError, InvalidInputError
 from whamkit.evaluate import infer_bundle
+from whamkit.gradcheck import forward_backward
 from whamkit.losses import LossWeights
-from whamkit.model import ModelDims
+from whamkit.model import AblationFlags, ModelDims
 from whamkit.optim import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from whamkit import train
 from whamkit.train import STAGES, load_model
@@ -257,9 +258,9 @@ def run_stage(data, out, stage: str, epochs: int, *extra) -> int:
 
 
 class TestResumeEquivalence:
-    """A 3-epoch stage stopped after k epochs, or whose k-th checkpoint write
-    failed, resumes to the bytes of an uninterrupted run: the stage's
-    checkpoint and the loss log."""
+    """A 3-epoch stage stopped after k epochs, whose k-th checkpoint write
+    failed, or whose loss went non-finite in epoch k, resumes to the bytes of
+    an uninterrupted run: the stage's checkpoint and the loss log."""
 
     @pytest.fixture(scope="class")
     def uninterrupted(self, workspace, tmp_path_factory):
@@ -317,6 +318,38 @@ class TestResumeEquivalence:
         else:
             assert ckpt.read_bytes() == writes[-1]
             assert load_checkpoint(ckpt)[1]["epoch"] == k - 1
+        assert run_stage(data, out, stage, 3, "--resume") == 0
+        assert (ckpt.read_bytes(), (out / "train_log.csv").read_bytes()) == \
+            uninterrupted[1][stage]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_non_finite_loss_keeps_the_last_good_checkpoint(
+            self, workspace, uninterrupted, tmp_path, monkeypatch, capsys, stage, k):
+        _, data = workspace
+        out = self.out_dir(uninterrupted, tmp_path, stage)
+        ckpt = out / f"{stage}.ckpt"
+        saves = []
+
+        def counting_save(*args, **kwargs):
+            saves.append(kwargs["meta"]["epoch"])
+            return save_checkpoint(*args, **kwargs)
+
+        def nan_in_epoch_k(module, batch):
+            if len(saves) == k:  # the first step of epoch k; it raises
+                batch["kp_px"][0, 0, 0, 0] = np.nan
+            return forward_backward(module, batch)
+
+        monkeypatch.setattr(train, "save_checkpoint", counting_save)
+        monkeypatch.setattr(train, "forward_backward", nan_in_epoch_k)
+        assert run_stage(data, out, stage, 3) == 4
+        assert "loss term 'kp2d' is non-finite" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert saves == list(range(1, k + 1))
+        assert load_checkpoint(ckpt)[1]["epoch"] == k
+        with open(out / "train_log.csv", newline="") as fh:
+            logged = {int(row["epoch"]) for row in csv.DictReader(fh) if row["stage"] == stage}
+        assert logged == set(range(k))
         assert run_stage(data, out, stage, 3, "--resume") == 0
         assert (ckpt.read_bytes(), (out / "train_log.csv").read_bytes()) == \
             uninterrupted[1][stage]
@@ -600,6 +633,19 @@ class TestBenchCommand:
         assert run_cli(*argv) == 3
         assert (out / "bench.json").read_bytes() == before
         assert os.listdir(out) == ["bench.json"]
+
+
+class TestAblationSwitches:
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_each_switch_turns_off_only_its_own_field(self, command):
+        parser = build_parser()
+        argv = [command, "--checkpoint", "c.ckpt", "--dataset", "d", "--out", "o"]
+        assert _ablation_flags(parser.parse_args(argv)) == AblationFlags()
+        switches = ["--no-integrator", "--no-omega", "--no-refiner", "--no-neural-init"]
+        assert len(switches) == len(fields(AblationFlags))
+        for switch, field in zip(switches, fields(AblationFlags)):
+            flags = _ablation_flags(parser.parse_args(argv + [switch]))
+            assert flags == replace(AblationFlags(), **{field.name: False}), switch
 
 
 class TestEntryPoint:

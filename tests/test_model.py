@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -26,12 +27,36 @@ def model():
     return WhamModel(WhamParams(DIMS, seed=0))
 
 
-def random_inputs(frames=6, batch=2, seed=0):
+# (frames, batch) of the property tests.
+SHAPES = st.tuples(st.integers(2, 90), st.integers(1, 8))
+
+# Forward channels whose frame t reads no input after frame t, and those
+# that read frame t + 1 through the contact-aware velocity adjustment.
+CAUSAL = ("motion_feats", "fused_feats", "kp3d_cascade", "local_pose", "contact",
+          "cam_root_pos", "cam_root_rot", "bone_scales", "root_rot0", "vel0")
+LOOKAHEAD = ("vel_adj", "root_rot", "vel", "root_pos")
+
+
+def random_inputs(frames=6, batch=2, seed=0, feature_dim=DIMS.feature_dim):
     rng = np.random.default_rng(seed)
     kp = rng.uniform(-1, 1, size=(frames, batch, ENCODER_INPUT_DIM))
     omega = rng.normal(0, 0.02, size=(frames, batch, 3))
-    feats = rng.normal(0, 1, size=(frames, batch, DIMS.feature_dim))
+    feats = rng.normal(0, 1, size=(frames, batch, feature_dim))
     return kp, omega, feats
+
+
+@contextmanager
+def zeroed(model, prefix: str):
+    """The model with its parameters named prefix* set to zero until exit."""
+    saved = {name: model.params[name].data for name in model.params.slices()
+             if name.startswith(prefix)}
+    for name, data in saved.items():
+        model.params[name].data = np.zeros_like(data)
+    try:
+        yield model
+    finally:
+        for name, data in saved.items():
+            model.params[name].data = data
 
 
 def random_batch(frames=6, batch=2, feature_dim=32, seed=5):
@@ -182,8 +207,7 @@ class TestPrefixConsistency:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_prefix_of_the_output_is_the_output_of_the_prefix(self, data):
-        frames = data.draw(st.integers(2, 90), label="frames")
-        batch = data.draw(st.integers(1, 8), label="batch")
+        frames, batch = data.draw(SHAPES, label="shape")
         k = data.draw(st.integers(2, frames), label="k")
         arrays = trajectory_inputs(frames, batch, seed=data.draw(st.integers(0, 2**32 - 1)))
         head = [Tensor(x[:k]) for x in arrays]
@@ -193,53 +217,84 @@ class TestPrefixConsistency:
                               adjust_velocity(*full).data[:k - 1])
 
 
+class TestWholeForwardPrefix:
+    """forward on the first k frames gives the first k frames of the whole
+    sequence's causal channels and the first k - 1 of the look-ahead ones,
+    under every ablation. Bit for bit at toy dims; at the default dims BLAS
+    blocks its sums by row count, so within 1e-12 of each channel's scale."""
+
+    @pytest.fixture(scope="class")
+    def default_model(self):
+        return WhamModel(WhamParams(ModelDims(), seed=0))
+
+    @staticmethod
+    def check(data, model, rtol):
+        frames, batch = data.draw(SHAPES, label="shape")
+        k = data.draw(st.integers(2, frames), label="k")
+        flags = AblationFlags(*data.draw(st.tuples(*[st.booleans()] * 4), label="flags"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        kp, omega, feats = random_inputs(frames, batch, seed, model.dims.feature_dim)
+        if not flags.use_omega:
+            omega = np.zeros_like(omega)
+
+        def forward(n):
+            """forward on the first n frames, switched as infer_batch switches it."""
+            with ad.no_grad():
+                return model.forward(kp[:n], omega[:n],
+                                     features=feats[:n] if flags.use_integrator else None,
+                                     neural_init_mode="self" if flags.use_neural_init else "zero",
+                                     use_refiner=flags.use_refiner)
+
+        head, full = forward(k), forward(frames)
+        for name in CAUSAL + LOOKAHEAD:
+            n = k - 1 if name in LOOKAHEAD else k
+            got, want = getattr(head, name).data[:n], getattr(full, name).data[:n]
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exact_at_toy_dims(self, model, data):
+        self.check(data, model, 0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_within_1e_12_at_default_dims(self, default_model, data):
+        self.check(data, default_model, 1e-12)
+
+
 class TestResidualIdentities:
-    def test_integrator_zero_weights_pass_through(self, model):
-        kp, omega, feats = random_inputs()
+    @settings(max_examples=20, deadline=None)
+    @given(shape=SHAPES)
+    def test_integrator_zero_weights_pass_through(self, model, shape):
+        kp, omega, feats = random_inputs(*shape)
         phi, _ = model.encode(kp)
-        saved = {}
-        for name in model.params.slices():
-            if name.startswith("integrator"):
-                saved[name] = model.params[name].data.copy()
-                model.params[name].data = np.zeros_like(saved[name])
-        fused = model.integrate(phi, feats)
+        with zeroed(model, "integrator"):
+            fused = model.integrate(phi, feats)
         assert (fused.data == phi.data).all()
-        for name, data in saved.items():
-            model.params[name].data = data
 
     def test_pretraining_mode_identity(self, model):
         kp, _, _ = random_inputs(seed=7)
         phi, _ = model.encode(kp)
         assert model.integrate(phi, None) is phi
 
-    def test_refiner_zero_weights_pass_through(self, model):
-        kp, omega, _ = random_inputs(seed=8)
+    @settings(max_examples=20, deadline=None)
+    @given(shape=SHAPES)
+    def test_refiner_zero_weights_pass_through(self, model, shape):
+        kp, omega, _ = random_inputs(*shape, seed=8)
         phi, _ = model.encode(kp)
         rot0, vel0 = model.decode_trajectory(phi, omega)
-        saved = {}
-        for name in model.params.slices():
-            if name.startswith("refiner.head"):
-                saved[name] = model.params[name].data.copy()
-                model.params[name].data = np.zeros_like(saved[name])
-        rot, vel = model.refine_trajectory(phi, rot0, vel0)
+        with zeroed(model, "refiner.head"):
+            rot, vel = model.refine_trajectory(phi, rot0, vel0)
         assert (rot.data == rot0.data).all()
         assert (vel.data == vel0.data).all()
-        for name, data in saved.items():
-            model.params[name].data = data
 
     def test_zero_trajectory_head_gives_identity_and_zero(self, model):
         kp, omega, _ = random_inputs(seed=9)
         phi, _ = model.encode(kp)
-        saved = {}
-        for name in model.params.slices():
-            if name.startswith("traj_dec.head"):
-                saved[name] = model.params[name].data.copy()
-                model.params[name].data = np.zeros_like(saved[name])
-        rot0, vel0 = model.decode_trajectory(phi, omega)
+        with zeroed(model, "traj_dec.head"):
+            rot0, vel0 = model.decode_trajectory(phi, omega)
         assert (rot0.data == np.eye(3)).all()
         assert (vel0.data == 0.0).all()
-        for name, data in saved.items():
-            model.params[name].data = data
 
 
 class TestFusedStages:
@@ -278,9 +333,7 @@ class TestCausality:
         om2[5:] -= 0.11
         ft2[5:] *= -2.0
         out2 = model.forward(kp2, om2, features=ft2, neural_init_mode="self")
-        for field in ("motion_feats", "fused_feats", "kp3d_cascade", "local_pose",
-                      "contact", "cam_root_pos", "cam_root_rot", "bone_scales",
-                      "root_rot0", "vel0"):
+        for field in CAUSAL:
             a = getattr(out1, field).data[:5]
             b = getattr(out2, field).data[:5]
             assert (a == b).all(), field
@@ -293,7 +346,7 @@ class TestCausality:
         om2[5:] -= 0.11
         ft2[5:] *= -2.0
         out2 = model.forward(kp2, om2, features=ft2)
-        for field in ("vel_adj", "root_rot", "vel", "root_pos"):
+        for field in LOOKAHEAD:
             a = getattr(out1, field).data[:4]  # frames <= 3 ignore frame 5+
             b = getattr(out2, field).data[:4]
             assert (a == b).all(), field
