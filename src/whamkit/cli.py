@@ -36,6 +36,13 @@ EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed is a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _overrides(args, cls) -> dict:
     """Config values from the --set pairs, then from each given flag that
     names a field of the config dataclass cls."""
@@ -146,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--seq-len", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a synthesis config field")
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
         p.add_argument("--resume", action="store_true")
         p.add_argument("--set", action="append", metavar="KEY=VALUE")
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=4)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--feature-dim", dest="feature_dim", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--delta", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--frames", type=int, default=81)
     p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
     return parser

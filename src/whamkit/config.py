@@ -38,6 +38,9 @@ class _RunSettings:
             raise InvalidInputError("epochs must be >= 0, batch >= 1, chunk >= 2")
         if min(self.lr, self.lr_integrator, self.lr_pretrained) <= 0:
             raise InvalidInputError("learning rates must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed}")
+        self.model_dims()   # ModelDims checks the sizes
 
     def model_dims(self) -> ModelDims:
         return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
@@ -83,15 +86,19 @@ def load_config(path: str | None = None, overrides: dict | None = None,
         values[key] = _coerce(key, known[key], raw) if isinstance(raw, str) else raw
 
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise InvalidInputError(f"{path}:{lineno}: expected key=value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                put(key, raw, f"{path}:{lineno}: ")
+        with open(path, encoding="utf-8") as fh:
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise InvalidInputError(f"{path}:{lineno}: expected key=value")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            put(key, raw, f"{path}:{lineno}: ")
     for key, raw in (overrides or {}).items():
         put(key, raw, "")
     return cls(**values)

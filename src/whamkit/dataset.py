@@ -289,8 +289,9 @@ def write_manifest(out_dir, cfg: SynthConfig, seed: int, count: int) -> dict:
 
 def read_manifest(dataset_dir) -> dict:
     """The manifest of a dataset directory. One that does not parse, is not
-    an object, lacks splits, or lacks a positive integer config.feature_dim
-    raises InvalidInputError."""
+    an object, lacks splits, has a split that is not a list of non-negative
+    integers, or lacks a positive integer config.feature_dim raises
+    InvalidInputError."""
     path = os.path.join(dataset_dir, "manifest.json")
     with open(path) as fh:
         try:
@@ -306,6 +307,11 @@ def read_manifest(dataset_dir) -> dict:
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InvalidInputError(f"{path}: config.feature_dim must be a positive integer, "
                                 f"not {dim!r}")
+    splits = manifest["splits"]
+    if not (isinstance(splits, dict) and all(
+            isinstance(keys, list) and all(type(k) is int and k >= 0 for k in keys)
+            for keys in splits.values())):
+        raise InvalidInputError(f"{path}: each split must be a list of non-negative integers")
     return manifest
 
 

@@ -63,6 +63,11 @@ class ModelDims:
     integrator_hidden: int = 128
     init_hidden: int = 64
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise InvalidInputError(f"{f.name} must be >= 1, got {getattr(self, f.name)!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -1,4 +1,4 @@
-"""Adam optimizer on flat parameter vectors and the checkpoint file format.
+"""Adam optimizer on a ParamSet and the checkpoint file format.
 
 Checkpoint layout (little-endian):
     8 bytes   magic b"WKCKPT01"
@@ -27,17 +27,11 @@ from .fileio import atomic_write
 MAGIC = b"WKCKPT01"
 VERSION = 1
 
-# Elements per block of the Adam update. The seven 128 KiB slices one block
-# touches (params, g, m, v, lr_scale, the step, a temporary) stay in L2
-# across its fifteen operations, where whole-vector passes over a
-# 460k-parameter model (3.7 MB per array) overflow L2 and re-read every
-# operand from a slower cache level or memory each time.
-ADAM_BLOCK = 16_384
-
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with an optional per-parameter learning-rate scale."""
+    """Bias-corrected Adam with an optional learning-rate multiplier per
+    parameter name (1 for a name the map leaves out)."""
 
     lr: float
     beta1: float = 0.9
@@ -46,7 +40,7 @@ class AdamState:
     m: np.ndarray = field(default=None)  # type: ignore[assignment]
     v: np.ndarray = field(default=None)  # type: ignore[assignment]
     step_count: int = 0
-    lr_scale: np.ndarray | None = None
+    lr_scale: dict[str, float] = field(default_factory=dict)
 
     def ensure(self, n: int) -> None:
         if self.m is None:
@@ -56,46 +50,30 @@ class AdamState:
             raise InvalidInputError("Adam state length does not match the parameter vector")
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One Adam update; returns the new parameter vector.
+def adam_step(state: AdamState, params, grads: np.ndarray) -> None:
+    """One Adam update of every array of the ParamSet params, in place.
 
-    The moments are updated in place, one ADAM_BLOCK-element block at a
-    time with reused temporaries, in the operation order of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
-    step = lr m_hat / (sqrt(v_hat) + eps) * lr_scale. Every element sees
-    the same operations as in one whole-vector pass, so the result is
-    bit-identical to it."""
-    params = np.asarray(params, dtype=np.float64)
+    grads, state.m and state.v are flat vectors in the order of
+    params.slices(); each array reads its own slice of them. Every element
+    sees m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p - lr m_hat / (sqrt(v_hat) + eps) * lr_scale, in that order."""
     grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape:
+    if grads.shape != (params.size,):
         raise InvalidInputError("parameter and gradient vectors differ in length")
     state.ensure(params.size)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    new = np.empty_like(params)
-    buf = np.empty(min(ADAM_BLOCK, params.size))
-    for lo in range(0, params.size, ADAM_BLOCK):
-        sl = slice(lo, lo + ADAM_BLOCK)
-        g, m, v, step = grads[sl], state.m[sl], state.v[sl], new[sl]
-        tmp = buf[:g.size]
-        np.multiply(1.0 - b1, g, out=tmp)
+    for name, sl in params.slices().items():
+        p = params[name].data
+        g, m, v = (a[sl].reshape(p.shape) for a in (grads, state.m, state.v))
         m *= b1
-        m += tmp
-        np.multiply(1.0 - b2, g, out=tmp)
-        tmp *= g
+        m += (1.0 - b1) * g
         v *= b2
-        v += tmp
-        np.divide(v, 1.0 - b2 ** t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += state.eps
-        np.divide(m, 1.0 - b1 ** t, out=step)
-        step *= state.lr
-        step /= tmp
-        if state.lr_scale is not None:
-            step *= state.lr_scale[sl]
-        np.subtract(params[sl], step, out=step)
-    return new
+        v += (1.0 - b2) * g * g
+        step = m / (1.0 - b1 ** t) * state.lr / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps)
+        step *= state.lr_scale.get(name, 1.0)
+        p -= step
 
 
 def save_checkpoint(path, dims: dict, params_vec: np.ndarray,

@@ -7,7 +7,7 @@ Every function is a deterministic function of its inputs and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -63,6 +63,14 @@ class SynthConfig:
             raise InvalidInputError("mask_prob must lie in [0, 1]")
         if self.seq_len < 2:
             raise InvalidInputError("seq_len must be >= 2")
+        if not self.fps > 0:
+            raise InvalidInputError(f"fps must be positive, got {self.fps!r}")
+        for f in fields(self):
+            if ("std" in f.name or "noise" in f.name) and getattr(self, f.name) < 0:
+                raise InvalidInputError(f"{f.name} must be >= 0, got {getattr(self, f.name)!r}")
+        for lo, hi in (("depth_min", "depth_max"), ("speed_min", "speed_max")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise InvalidInputError(f"{lo} must not exceed {hi}")
         weights = self.gait_weights
         if (len(weights) != len(self.gait_kinds) or any(w < 0 for w in weights)
                 or not sum(weights) > 0):

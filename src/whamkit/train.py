@@ -123,12 +123,12 @@ def _append_log(path, stage: str, epoch: int, breakdown: dict) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def _lr_scale(params, integrator_lr: float, pretrained_lr: float) -> np.ndarray:
-    """Multipliers on the integrator's learning rate: 1 on the integrator
-    block, pretrained_lr / integrator_lr on every other parameter."""
-    scale = np.full(params.size, pretrained_lr / integrator_lr)
-    scale[params.block_slices()["integrator"]] = 1.0
-    return scale
+def _lr_scale(params, integrator_lr: float, pretrained_lr: float) -> dict[str, float]:
+    """Multipliers on the integrator's learning rate, by parameter name: 1
+    under integrator, pretrained_lr / integrator_lr for every other name."""
+    scale = pretrained_lr / integrator_lr
+    return {name: 1.0 if name.split(".", 1)[0] == "integrator" else scale
+            for name in params.slices()}
 
 
 def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
@@ -188,7 +188,7 @@ def run_training(cfg: RunConfig, stage: str, init_checkpoint: str | None = None,
             picked = [chunks[i] for i in order[lo:lo + cfg.batch_size]]
             batch = build_batch(picked, with_features=(stage == "finetune"))
             _, grads = forward_backward(module, batch)
-            weights.params.set_flat(adam_step(adam, weights.params.get_flat(), grads))
+            adam_step(adam, weights.params, grads)
             for term, value in module.last_breakdown.items():
                 sums[term] = sums.get(term, 0.0) + value
             n_batches += 1

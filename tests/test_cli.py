@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from whamkit import dataset as ds
 from whamkit.cli import build_parser, main, _ablation_flags, _run_config
@@ -19,6 +20,7 @@ from whamkit.gradcheck import forward_backward
 from whamkit.losses import LossWeights
 from whamkit.model import AblationFlags, ModelDims
 from whamkit.optim import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from whamkit.synth import SynthConfig
 from whamkit import train
 from whamkit.train import STAGES, load_model
 
@@ -633,6 +635,75 @@ class TestBenchCommand:
         assert run_cli(*argv) == 3
         assert (out / "bench.json").read_bytes() == before
         assert os.listdir(out) == ["bench.json"]
+
+
+def bad_setting(cls, skip=()):
+    """One KEY=VALUE for a field of the config dataclass cls: a value that
+    does not parse, zero, a negative one, or one past the other end of a
+    _min/_max range."""
+    def values(name):
+        inverted = {"_min": ["1e3"], "_max": ["-1e3"]}.get(name[-4:], [])
+        return [f"{name}={v}" for v in ["x", "", "0", "-1", "-0.5", *inverted]]
+    names = [f.name for f in fields(cls) if f.name not in skip]
+    return st.sampled_from(names).flatmap(lambda name: st.sampled_from(values(name)))
+
+
+def exit_code(*argv) -> int:
+    """run_cli's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestOutOfRangeValues:
+    """Values that parse but lie out of range exit 2 with a message that
+    names the key or the file, not 1 with a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["pretrain", "--epochs", "1", "--set", "hidden=0"], "hidden"),
+        (["pretrain", "--epochs", "1", "--config", "{cfg}"], "hidden"),
+        (["gradcheck", "--hidden", "0"], "hidden"),
+        (["synth", "--count", "2", "--set", "depth_min=5", "--set", "depth_max=1"], "depth_min"),
+        (["synth", "--count", "2", "--set", "shape_noise_std=-0.1"], "shape_noise_std"),
+        (["synth", "--count", "2", "--seed", "-1"], "--seed"),
+        (["pretrain", "--epochs", "1", "--seed", "-1"], "--seed"),
+        (["pretrain", "--epochs", "1", "--set", "seed=-1"], "seed"),
+        (["gradcheck", "--seed", "-1"], "--seed"),
+        (["bench", "--checkpoint", "{out}", "--seed", "-1"], "--seed"),
+        (["pretrain", "--epochs", "1", "--config", "{latin1}"], "{latin1}"),
+        (["eval", "--oracle", "--dataset", "{copy}", "--no-svg"], "manifest.json"),
+    ], ids=["hidden 0", "hidden -3 in a file", "gradcheck hidden 0", "inverted depths",
+            "negative std", "synth seed", "pretrain seed", "seed in --set", "gradcheck seed",
+            "bench seed", "file not UTF-8", "split not a list"])
+    def test_exits_2_naming_the_key_or_file(self, workspace, tmp_path, capsys, argv, named):
+        _, data = workspace
+        paths = {"cfg": tmp_path / "neg.cfg", "latin1": tmp_path / "latin1.cfg",
+                 "copy": tmp_path / "data", "out": tmp_path / "out"}
+        paths["cfg"].write_text("hidden = -3\n")
+        paths["latin1"].write_bytes("hidden = 8  # größe\n".encode("latin-1"))
+        shutil.copytree(data, paths["copy"])
+        manifest = json.loads((paths["copy"] / "manifest.json").read_text())
+        manifest["splits"]["test"] = 5
+        (paths["copy"] / "manifest.json").write_text(json.dumps(manifest))
+        fill = lambda arg: arg.format(**{k: str(p) for k, p in paths.items()})
+        command = [fill(arg) for arg in argv]
+        place = {"synth": ["--out", str(paths["out"])],
+                 "pretrain": ["--dataset", str(data), "--out-dir", str(paths["out"])],
+                 "eval": ["--out", str(paths["out"])]}.get(command[0], [])
+        assert exit_code(*command, *place) == 2
+        assert fill(named) in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(synth=bad_setting(SynthConfig), run=bad_setting(RunConfig, skip=("dataset", "out_dir")))
+    @example(synth="depth_max=0", run="hidden=-1")
+    def test_any_bad_value_exits_0_or_2(self, workspace, synth, run):
+        root, dataset = workspace
+        assert exit_code("synth", "--out", str(root / "any_synth"), "--count", "1",
+                         "--set", synth) in (0, 2), synth
+        assert exit_code("pretrain", "--dataset", str(dataset), "--out-dir",
+                         str(root / "any_run"), "--epochs", "0", *SMALL_MODEL,
+                         "--set", run) in (0, 2), run
 
 
 class TestAblationSwitches:

@@ -20,8 +20,10 @@ the same five checks:
 5. a kernel with a finite check raises a NumericError naming its layer.
 
 test_every_node_site_has_a_row scans the package for the functions that
-call _node, so a new fused kernel needs a row before it can land. Tests
-elsewhere that predate the table call these checks on their own cases.
+call _node, so a new fused kernel needs a row before it can land.
+test_no_new_module_reruns_the_checks scans the other test modules for
+calls of check_reference and check_nodes: the tests in RERUNS predate the
+table and rerun its checks on its own cases, and the list may only shrink.
 """
 
 import ast
@@ -366,16 +368,16 @@ PACKAGE = sorted(p for p in glob.glob(os.path.join(
     if os.path.basename(p) != "autodiff.py")
 
 
-def node_sites(source: str, module: str) -> set[str]:
+def node_sites(source: str, module: str, callees=("_node",)) -> set[str]:
     """module.function and module.Class.method of each top-level function
-    and method in source whose body calls _node."""
+    and method in source whose body calls one of callees."""
     tree = ast.parse(source)
     defs = [(f"{module}.{n.name}", n) for n in tree.body if isinstance(n, ast.FunctionDef)]
     defs += [(f"{module}.{c.name}.{n.name}", n) for c in tree.body if isinstance(c, ast.ClassDef)
              for n in c.body if isinstance(n, ast.FunctionDef)]
     return {name for name, fn in defs
             for node in ast.walk(fn) if isinstance(node, ast.Call)
-            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_node"}
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in callees}
 
 
 def package_sites() -> set[str]:
@@ -397,3 +399,45 @@ def test_gate_fails_on_a_site_without_a_row():
              "def double(x):\n"
              "    return ad._node(x.data * 2.0, (x,), lambda g: (g * 2.0,))\n")
     assert rowless(package_sites() | node_sites(extra, "extra")) == ["extra.double"]
+
+
+# The tests outside this module that still call check_reference or
+# check_nodes on the table's own cases. Each one goes once the table covers
+# its assertion at its shapes; none may be added.
+RERUNS = {
+    "test_autodiff.TestFusedRotops.test_rotation6d_matches_composed_reference",
+    "test_autodiff.TestFusedRotops.test_so3_log_matches_composed_reference",
+    "test_autodiff.TestFusedRotops.test_one_tape_node_per_call",
+    "test_layers.TestGruSequenceParts.test_matches_concatenated_input_bit_for_bit",
+    "test_layers.TestDense.test_one_tape_node_per_call",
+    "test_layers.TestDense.test_matches_composed_reference_bit_for_bit",
+    "test_layers.TestDenseStack.test_matches_composed_reference_bit_for_bit",
+    "test_layers.TestDenseStack.test_one_tape_node",
+    "test_losses.TestSquaredErrorTerm.test_matches_composed_reference_bit_for_bit",
+    "test_losses.TestSquaredErrorTerm.test_one_tape_node_per_term",
+    "test_losses.TestSquaredErrorTerm.test_reprojection_matches_composed_reference_bit_for_bit",
+    "test_losses.TestSquaredErrorTerm.test_reprojection_error_is_one_tape_node",
+    "test_model.TestFusedStages.check",
+}
+CHECKS = ("check_reference", "check_nodes")
+TESTS = sorted(p for p in glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                                 "*.py"))
+               if os.path.basename(p) != "test_kernels.py")
+
+
+def rerun_sites() -> set[str]:
+    return set().union(*(node_sites(open(p).read(), os.path.basename(p)[:-3], CHECKS)
+                         for p in TESTS))
+
+
+def test_no_new_module_reruns_the_checks():
+    assert sorted(rerun_sites() ^ RERUNS) == []
+
+
+def test_rerun_gate_fails_on_an_injected_call():
+    extra = ("from tests.test_kernels import KERNELS, check_reference\n\n"
+             "def test_again():\n"
+             "    row = KERNELS['losses._weighted_sum']\n"
+             "    check_reference(row, row.cases['terms'])\n")
+    assert sorted((rerun_sites() | node_sites(extra, "test_extra", CHECKS)) ^ RERUNS) == [
+        "test_extra.test_again"]

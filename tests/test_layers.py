@@ -137,9 +137,6 @@ class TestGruSequence:
         zeros = ad.Tensor(np.zeros((self.B, self.H)))
         assert (layer.sequence(xs).data == layer.sequence(xs, zeros).data).all()
 
-    def test_no_grad_same_states_without_tape(self):
-        check_nodes(GRU, gru((self.D,), (True,), self.T, self.B, self.H))
-
 
 class TestGruSequenceParts:
     """sequence() over a tuple of input parts, also parts that take no
@@ -238,9 +235,6 @@ class TestDenseStack:
             mlp((ad.Tensor(np.ones((5, 3, 4))), ad.Tensor(np.ones((5, 2, 2)))))
         with pytest.raises(InvalidInputError):
             mlp(ad.Tensor(np.ones((5, 3, 4))))
-
-    def test_no_grad_records_nothing(self):
-        check_nodes(STACK, dense_stack(self.SHAPES[1], "own"))
 
 
 class TestParamSet:

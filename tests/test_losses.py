@@ -175,13 +175,6 @@ class TestTotalLoss:
             total_loss(out, clean_batch, LossWeights())
 
 
-class TestWeightedSum:
-    def test_one_node_matches_composed_sum_bit_for_bit(self):
-        row = KERNELS["losses._weighted_sum"]
-        check_reference(row, row.cases["terms"])
-        check_nodes(row, row.cases["terms"])
-
-
 class TestReprojectionLoss:
     def setup_method(self):
         rng = np.random.default_rng(5)

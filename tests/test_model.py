@@ -1,5 +1,6 @@
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -507,9 +508,15 @@ class TestParamCount:
         ModelDims(), ModelDims(hidden=8, feature_dim=8, integrator_hidden=8, init_hidden=16),
         ModelDims(hidden=37, feature_dim=5, integrator_hidden=3, init_hidden=70),
         ModelDims(hidden=1, feature_dim=1, integrator_hidden=1, init_hidden=1),
-        ModelDims(hidden=0, feature_dim=0, integrator_hidden=0, init_hidden=0)])
+        ModelDims(hidden=2, feature_dim=1, integrator_hidden=1, init_hidden=3)])
     def test_closed_form_matches_the_registered_weights(self, dims):
         assert dims.param_count() == WhamParams(dims).params.size
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelDims)])
+    def test_a_size_below_one_is_rejected(self, name):
+        for size in (0, -3):
+            with pytest.raises(InvalidInputError, match=name):
+                ModelDims(**{name: size})
 
 
 class TestPinnedOutputs:

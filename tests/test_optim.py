@@ -8,35 +8,43 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from whamkit import optim
 from whamkit.errors import CheckpointError, InvalidInputError
-from whamkit.optim import (ADAM_BLOCK, MAGIC, VERSION, AdamState, adam_step, load_checkpoint,
+from whamkit.layers import ParamSet
+from whamkit.optim import (MAGIC, VERSION, AdamState, adam_step, load_checkpoint,
                           save_checkpoint)
 
 from tests.conftest import fail_atomic_writes
 
 
+def one_array(values) -> ParamSet:
+    params = ParamSet()
+    params.add("w", np.asarray(values, dtype=np.float64))
+    return params
+
+
 class TestAdam:
     def test_first_step_is_signlike(self):
         state = AdamState(lr=0.01)
-        params = np.zeros(4)
+        params = one_array(np.zeros(4))
         grads = np.array([0.5, -2.0, 1e-3, -1e-4])
-        new = adam_step(state, params, grads)
+        adam_step(state, params, grads)
         # bias correction makes m_hat = g and v_hat = g^2 on step one
-        assert np.abs(new + 0.01 * np.sign(grads)).max() < 1e-5
+        assert np.abs(params["w"].data + 0.01 * np.sign(grads)).max() < 1e-5
 
     def test_zero_gradient_keeps_params(self):
         state = AdamState(lr=0.1)
-        params = np.array([1.0, -2.0])
-        new = adam_step(state, params, np.zeros(2))
-        assert (new == params).all()
+        params = one_array([1.0, -2.0])
+        adam_step(state, params, np.zeros(2))
+        assert (params["w"].data == [1.0, -2.0]).all()
 
     def test_second_step_never_larger(self):
         state = AdamState(lr=0.05)
-        params = np.array([0.0])
+        params = one_array([0.0])
         g = np.array([0.7])
-        p1 = adam_step(state, params, g)
-        step1 = abs(p1[0] - params[0])
-        p2 = adam_step(state, p1, g)
-        step2 = abs(p2[0] - p1[0])
+        adam_step(state, params, g)
+        step1 = abs(params["w"].data[0])
+        p1 = params["w"].data[0]
+        adam_step(state, params, g)
+        step2 = abs(params["w"].data[0] - p1)
         assert step2 <= step1 + 1e-12
 
     def test_scalar_recurrence_by_hand(self):
@@ -45,47 +53,62 @@ class TestAdam:
         p = 0.3
         g = -0.45
         m = v = 0.0
-        got = np.array([p])
+        params = one_array([p])
         for t in range(1, 4):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
             p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-            got = adam_step(state, got, np.array([g]))
-            assert abs(got[0] - p) < 1e-15
+            assert adam_step(state, params, np.array([g])) is None
+            assert abs(params["w"].data[0] - p) < 1e-15
 
     def test_lr_scale(self):
-        state = AdamState(lr=0.01, lr_scale=np.array([1.0, 0.1]))
-        new = adam_step(state, np.zeros(2), np.array([1.0, 1.0]))
-        assert abs(new[0] / new[1] - 10.0) < 1e-6
+        params = ParamSet()
+        params.add("a", np.zeros(1))
+        params.add("b", np.zeros(1))
+        state = AdamState(lr=0.01, lr_scale={"b": 0.1})
+        adam_step(state, params, np.array([1.0, 1.0]))
+        assert abs(params["a"].data[0] / params["b"].data[0] - 10.0) < 1e-6
 
     def test_in_place_update_is_bit_identical(self):
-        """24 steps against the out-of-place formula, byte for byte, on a
-        vector of three whole update blocks and a partial one."""
+        """24 steps of the per-array update against a whole-vector
+        reference, byte for byte, on arrays of uneven sizes (two above
+        16,384 elements, one of them not contiguous) with per-name
+        multipliers."""
         rng = np.random.default_rng(5)
-        n = 3 * ADAM_BLOCK + 17
-        scale = rng.uniform(0.1, 1.0, size=n)
-        state = AdamState(lr=0.003, lr_scale=scale)
-        p = p_ref = rng.normal(size=n)
-        m = v = np.zeros(n)
+        shapes = {"a": (3,), "b": (130, 160), "c": (1,), "d": (16_385,), "e": (7, 5, 2)}
+        params = ParamSet()
+        for name, shape in shapes.items():
+            params.add(name, rng.normal(size=shape))
+        params["b"].data = np.asfortranarray(params["b"].data)
+        names = list(shapes)
+        arrays = [params[n].data for n in names]
+        state = AdamState(lr=0.003, lr_scale={"a": 0.25, "b": 1.0, "d": 0.1, "e": 1.7})
+        sl = params.slices()
+        scale = np.ones(params.size)
+        for name, mult in state.lr_scale.items():
+            scale[sl[name]] = mult
+        p_ref = params.get_flat()
+        m = v = np.zeros(params.size)
         b1, b2, eps = state.beta1, state.beta2, state.eps
         for t in range(1, 25):
-            g = rng.normal(size=n) * rng.uniform(1e-6, 1e2)
+            g = rng.normal(size=params.size) * rng.uniform(1e-6, 1e2)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
             step = state.lr * m_hat / (np.sqrt(v_hat) + eps)
             p_ref = p_ref - step * scale
-            p = adam_step(state, p, g)
-            assert p.tobytes() == p_ref.tobytes()
+            adam_step(state, params, g)
+            assert params.get_flat().tobytes() == p_ref.tobytes()
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert all(params[n].data is a for n, a in zip(names, arrays))
 
     def test_length_mismatch(self):
         state = AdamState(lr=0.01)
         with pytest.raises(InvalidInputError):
-            adam_step(state, np.zeros(3), np.zeros(2))
+            adam_step(state, one_array(np.zeros(3)), np.zeros(2))
 
 
 class TestCheckpoint:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from whamkit import dataset as ds, layers
+from whamkit import dataset as ds, layers, train
 from whamkit.config import RunConfig
 from whamkit.errors import CheckpointError, InvalidInputError, NumericError
 from whamkit.gradcheck import forward_backward
@@ -49,11 +49,11 @@ class TestLrScale:
     def test_integrator_gets_full_rate(self):
         params = WhamParams(TOY_DIMS, seed=0).params
         scale = _lr_scale(params, integrator_lr=1e-4, pretrained_lr=1e-5)
-        blocks = params.block_slices()
-        assert np.allclose(scale[blocks["integrator"]], 1.0)
-        for name, sl in blocks.items():
-            if name != "integrator":
-                assert np.allclose(scale[sl], 0.1), name
+        assert list(scale) == list(params.slices())
+        for name, mult in scale.items():
+            assert type(mult) is float
+            assert mult == (1.0 if name.startswith("integrator.") else 1e-5 / 1e-4), name
+        assert {n.split(".")[0] for n, m in scale.items() if m == 1.0} == {"integrator"}
 
 
 class TestTrainingModule:
@@ -144,6 +144,24 @@ class TestRunTraining:
         with pytest.raises(NumericError):
             run_training(bad, "pretrain", resume=True)
         assert open(path, "rb").read() == before
+
+    def test_steps_update_the_arrays_without_a_flat_copy(self, tmp_path, tiny_dataset,
+                                                         monkeypatch):
+        calls = {"get_flat": 0, "set_flat": 0, "save_checkpoint": 0}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((layers.ParamSet, "get_flat"), (layers.ParamSet, "set_flat"),
+                            (train, "save_checkpoint")):
+            counted(owner, name)
+        run_training(tiny_cfg(tiny_dataset, str(tmp_path / "run"), batch_size=2), "pretrain")
+        assert calls == {"get_flat": 2, "set_flat": 0, "save_checkpoint": 2}
 
     def test_load_model_round_trip(self, tmp_path, tiny_dataset):
         cfg = tiny_cfg(tiny_dataset, str(tmp_path / "run"))
