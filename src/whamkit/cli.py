@@ -43,6 +43,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> float:
+    """An argparse type: a finite positive number."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _overrides(args, cls) -> dict:
     """Config values from the --set pairs, then from each given flag that
     names a field of the config dataclass cls."""
@@ -203,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--feature-dim", dest="feature_dim", type=int, default=8)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--delta", type=_positive, default=1e-5)
+    p.add_argument("--tol", type=_positive, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="core inference throughput")

@@ -1,8 +1,8 @@
 """Network building blocks: parameter registry, Dense, DenseStack, and a GRU cell.
 
-Parameters are float64 and live in a ParamSet, which provides the flat-vector
-view used by the optimizer, the checkpoint format, and gradient checking.
-Weight init is uniform +-1/sqrt(fan_in), seeded, or zeros without a generator.
+Parameters are float64 and live in a ParamSet (one array per GRU), which gives
+the flat-vector view used by the optimizer, the checkpoint format and gradient
+checking. Init is uniform +-1/sqrt(fan_in), seeded, or zeros without an rng.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ class GruLayer:
     hc = tanh(x W_h + (r * h) U_h + b_h)
     h' = (1 - z) * h + z * hc
 
+    The weights are one (3, D + H + 1, H) array: block g (z, r, h) stacks the
+    rows of W_g, U_g and b_g, so it flattens to W_z, U_z, b_z, W_r, ..., b_h.
+
     sequence() runs the whole recurrence as one tape node with a hand-written
     backward pass through time; step() is its single-frame case.
     """
@@ -192,14 +195,10 @@ class GruLayer:
         self.name = name
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
-        add = params.add
-        for gate in ("z", "r", "h"):
-            add(f"{name}.w_{gate}", _initial(rng, (in_dim, hidden_dim), in_dim))
-            add(f"{name}.u_{gate}", _initial(rng, (hidden_dim, hidden_dim), hidden_dim))
-            add(f"{name}.b_{gate}", _initial(rng, (hidden_dim,), in_dim))
-        # Registration order, which is also the order of sequence()'s parents.
-        self.weights = tuple(params[f"{name}.{k}_{gate}"]
-                             for gate in ("z", "r", "h") for k in ("w", "u", "b"))
+        self.weight = params.add(f"{name}.weight", np.stack([np.concatenate([
+            _initial(rng, (in_dim, hidden_dim), in_dim),
+            _initial(rng, (hidden_dim, hidden_dim), hidden_dim),
+            _initial(rng, (1, hidden_dim), in_dim)]) for _gate in "zrh"]))
 
     def step(self, x: Tensor, h_prev: Tensor) -> Tensor:
         """One update of a (B, D) input on a (B, H) state."""
@@ -228,13 +227,13 @@ class GruLayer:
         h0 = Tensor(np.zeros(x.shape[1:2] + (hid,))) if h0 is None else h0
         if x.ndim != 3 or h0.data.shape != (x.shape[1], hid):
             raise InvalidInputError(f"{self.name}: input/hidden dims do not match the cell")
-        t, b, _ = x.shape
-        wz, uz, bz, wr, ur, br, wh, uh, bh = self.weights
-        w = np.concatenate([wz.data, wr.data, wh.data], axis=1)     # (D, 3H)
-        u_zr = np.concatenate([uz.data, ur.data], axis=1)            # (H, 2H)
-        b_zr = np.concatenate([bz.data, br.data])
-        parents = parts + (h0,) + self.weights
-        record = ad.grad_enabled() and any(p.requires_grad for p in parents)
+        t, b, d = x.shape
+        p, u_ = self.weight.data, slice(d, d + hid)      # u_: the rows of U_g
+        w = p[:, :d].transpose(1, 0, 2).reshape(d, 3 * hid)         # (D, 3H)
+        u_zr = p[:2, u_].transpose(1, 0, 2).reshape(hid, 2 * hid)    # (H, 2H)
+        b_zr, uh, bh = p[:2, -1].reshape(2 * hid), p[2, u_], p[2, -1]
+        parents = parts + (h0, self.weight)
+        record = ad.grad_enabled() and any(q.requires_grad for q in parents)
         z_, r_, h_ = slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, None)
 
         hs = np.empty((t, b, hid))
@@ -247,8 +246,8 @@ class GruLayer:
             zr += b_zr
             zr[:] = ad._sigmoid(zr)
             z, r, hc = a[:, z_], a[:, r_], a[:, h_]
-            hc += (r * h) @ uh.data
-            hc += bh.data
+            hc += (r * h) @ uh
+            hc += bh
             np.tanh(hc, out=hc)
             h = hs[i] = (1.0 - z) * h + z * hc
         if not np.isfinite(hs).all():
@@ -259,7 +258,7 @@ class GruLayer:
         def bw(g):
             da = np.empty((t, b, 3 * hid))     # gate pre-activation gradients
             dh = np.zeros((b, hid))
-            u_zr_t, uh_t = u_zr.T, uh.data.T
+            u_zr_t, uh_t = u_zr.T, uh.T
             for i in range(t - 1, -1, -1):
                 z, r, hc = gates[i, :, z_], gates[i, :, r_], gates[i, :, h_]
                 hp = hs[i - 1] if i else h0.data
@@ -279,11 +278,11 @@ class GruLayer:
             da2 = da.reshape(rows, 3 * hid)
             dw, dxs = _part_grads(parts, da2, w)
             du_zr = h_prev.reshape(rows, hid).T @ da2[:, :2 * hid]
-            du_h = rh.reshape(rows, hid).T @ da2[:, 2 * hid:]
-            db = da2.sum(axis=0)
-            return (*dxs, dh,
-                    dw[:, z_], du_zr[:, z_], db[z_],
-                    dw[:, r_], du_zr[:, r_], db[r_],
-                    dw[:, h_], du_h, db[h_])
+            dp = np.empty_like(p)
+            dp[:, :d] = dw.reshape(d, 3, hid).transpose(1, 0, 2)
+            dp[:2, u_] = du_zr.reshape(hid, 2, hid).transpose(1, 0, 2)
+            dp[2, u_] = rh.reshape(rows, hid).T @ da2[:, 2 * hid:]
+            dp[:, -1] = da2.sum(axis=0).reshape(3, hid)
+            return (*dxs, dh, dp)
 
         return ad._node(hs, parents, bw)

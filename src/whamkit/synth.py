@@ -19,6 +19,8 @@ from .errors import InvalidInputError, SynthesisError
 
 CONTACT_VEL_THRESHOLD = 0.01  # m/frame at which contact probability is 0.5
 CONTACT_STEEPNESS = 5.0
+# SynthConfig fields that must be >= 0 besides the stds and noise levels.
+_NON_NEGATIVE = ("bbox_margin", "min_subject_depth")
 
 
 @dataclass
@@ -65,9 +67,10 @@ class SynthConfig:
             raise InvalidInputError("seq_len must be >= 2")
         if not self.fps > 0:
             raise InvalidInputError(f"fps must be positive, got {self.fps!r}")
-        for f in fields(self):
-            if ("std" in f.name or "noise" in f.name) and getattr(self, f.name) < 0:
-                raise InvalidInputError(f"{f.name} must be >= 0, got {getattr(self, f.name)!r}")
+        for f in fields(self):      # "not >= 0" rejects NaN too
+            value = getattr(self, f.name)
+            if ("std" in f.name or "noise" in f.name or f.name in _NON_NEGATIVE) and not value >= 0:
+                raise InvalidInputError(f"{f.name} must be >= 0, got {value!r}")
         for lo, hi in (("depth_min", "depth_max"), ("speed_min", "speed_max")):
             if getattr(self, lo) > getattr(self, hi):
                 raise InvalidInputError(f"{lo} must not exceed {hi}")

@@ -673,9 +673,18 @@ class TestOutOfRangeValues:
         (["bench", "--checkpoint", "{out}", "--seed", "-1"], "--seed"),
         (["pretrain", "--epochs", "1", "--config", "{latin1}"], "{latin1}"),
         (["eval", "--oracle", "--dataset", "{copy}", "--no-svg"], "manifest.json"),
+        (["gradcheck", "--delta", "0"], "--delta"),
+        (["gradcheck", "--delta", "nan"], "--delta"),
+        (["gradcheck", "--tol", "0"], "--tol"),
+        (["gradcheck", "--tol", "nan"], "--tol"),
+        (["synth", "--count", "1", "--set", "bbox_margin=-1"], "bbox_margin"),
+        (["synth", "--count", "1", "--set", "min_subject_depth=-1"], "min_subject_depth"),
+        (["synth", "--count", "1", "--set", "bbox_margin=nan"], "bbox_margin"),
     ], ids=["hidden 0", "hidden -3 in a file", "gradcheck hidden 0", "inverted depths",
             "negative std", "synth seed", "pretrain seed", "seed in --set", "gradcheck seed",
-            "bench seed", "file not UTF-8", "split not a list"])
+            "bench seed", "file not UTF-8", "split not a list", "delta 0", "delta nan",
+            "tol 0", "tol nan", "negative bbox_margin", "negative min_subject_depth",
+            "nan bbox_margin"])
     def test_exits_2_naming_the_key_or_file(self, workspace, tmp_path, capsys, argv, named):
         _, data = workspace
         paths = {"cfg": tmp_path / "neg.cfg", "latin1": tmp_path / "latin1.cfg",

@@ -9,8 +9,7 @@ from tests.conftest import square, stack
 from tests.test_kernels import (KERNELS, check_finite, check_gradient, check_nodes,
                                 check_reference, dense, dense_stack, gru, value_and_grads)
 
-DENSE, STACK, GRU = (KERNELS[f"layers.{name}"] for name in
-                     ("Dense.__call__", "DenseStack.__call__", "GruLayer.sequence"))
+DENSE, STACK = (KERNELS[f"layers.{name}"] for name in ("Dense.__call__", "DenseStack.__call__"))
 
 
 def make_gru(in_dim=2, hidden=3, seed=0):
@@ -25,11 +24,18 @@ def tanh(a):
     return ad._node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def composed_step(weights, x, h_prev):
-    """The cell equations on a GruLayer's weights, composed from autodiff
-    ops, one tape node per op: the reference for GruLayer.sequence and its
-    backward pass."""
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = weights
+def gate_blocks(weight, in_dim):
+    """W, U and b of gates z, r and h, in that order, as slices of a
+    GruLayer's (3, D + H + 1, H) weight (a Tensor or an array)."""
+    return [weight[g, rows] for g in range(3)
+            for rows in (slice(0, in_dim), slice(in_dim, -1), -1)]
+
+
+def composed_step(weight, x, h_prev):
+    """The cell equations on a GruLayer's weight, composed from autodiff
+    ops, one tape node per op and one getitem node per gate block: the
+    reference for GruLayer.sequence and its backward pass."""
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = gate_blocks(weight, x.shape[-1])
     z = ad.sigmoid(ad.matmul(x, w_z) + ad.matmul(h_prev, u_z) + b_z)
     r = ad.sigmoid(ad.matmul(x, w_r) + ad.matmul(h_prev, u_r) + b_r)
     hc = tanh(ad.matmul(x, w_h) + ad.matmul(ad.mul(r, h_prev), u_h) + b_h)
@@ -42,8 +48,8 @@ def step(layer, x, h_prev):
 
 def scalar_gru_reference(params, prefix, x, h):
     """Independent scalar evaluation of the cell equations."""
-    def get(k):
-        return params[f"{prefix}.{k}"].data
+    get = dict(zip([f"{k}_{g}" for g in "zrh" for k in "wub"],
+                   gate_blocks(params[f"{prefix}.weight"].data, len(x)))).__getitem__
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -95,6 +101,10 @@ class TestGru:
         want = scalar_gru_reference(params, "gru", x, h)
         assert np.abs(got - want).max() < 1e-12
 
+    def test_one_gate_major_parameter(self):
+        params, layer = make_gru(in_dim=2, hidden=3)
+        assert list(params.slices()) == ["gru.weight"] and layer.weight.shape == (3, 6, 3)
+
     def test_dim_mismatch(self):
         _, layer = make_gru()
         with pytest.raises(InvalidInputError):
@@ -102,7 +112,7 @@ class TestGru:
 
     def test_nan_guard_names_layer(self):
         params, layer = make_gru()
-        params["gru.w_z"].data[0, 0] = np.nan
+        params["gru.weight"].data[0, 0, 0] = np.nan     # W_z[0, 0]
         with pytest.raises(NumericError, match="gru"):
             step(layer, np.ones((1, 2)), np.zeros((1, 3)))
         with pytest.raises(NumericError, match="gru"):
@@ -116,12 +126,12 @@ class TestGruSequence:
         """States and every gradient, h0's included, within 1e-12 of the
         cell equations composed frame by frame."""
         case = gru((self.D,), (True,), self.T, self.B, self.H)()
-        xs, h0, weights = case.leaves[0], case.leaves[1], case.leaves[2:]
+        xs, h0, weight = case.leaves
 
         def loop():
             h, states = h0, []
             for t in range(self.T):
-                h = composed_step(weights, xs[t], h)
+                h = composed_step(weight, xs[t], h)
                 states.append(h)
             return stack(states, axis=0)
 
@@ -139,16 +149,9 @@ class TestGruSequence:
 
 
 class TestGruSequenceParts:
-    """sequence() over a tuple of input parts, also parts that take no
-    gradient, against the parts joined by a concat node: the
-    layers.GruLayer.sequence row of tests/test_kernels.py."""
-
-    @pytest.mark.parametrize("widths, needs_grad", [
-        ((4,), (True,)), ((4, 3), (True, True)), ((7, 3, 2), (True, False, True)),
-        ((7, 3, 2), (True, True, True)), ((3, 4), (False, False))])
-    def test_matches_concatenated_input_bit_for_bit(self, widths, needs_grad):
-        check_reference(GRU, gru(widths, needs_grad))
-        check_nodes(GRU, gru(widths, needs_grad))
+    """sequence() over a tuple of input parts. Its value and gradients
+    against the parts joined by a concat node are the layers.GruLayer.sequence
+    row of tests/test_kernels.py."""
 
     def test_parts_must_share_frames_and_batch(self):
         _, layer = make_gru(in_dim=5, hidden=3)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields
@@ -517,6 +518,21 @@ class TestParamCount:
         for size in (0, -3):
             with pytest.raises(InvalidInputError, match=name):
                 ModelDims(**{name: size})
+
+
+class TestCheckpointLayout:
+    """SHA-256 of the seed-0 flat parameter vector, the order of a
+    checkpoint's "params", "adam_m" and "adam_v" sections."""
+
+    FLAT = {"toy": "efa947666353ab0f14edce2fe4c858c2b9df008c2ccbae50248a2e5328ef7c29",
+            "default": "13b12f517411d020f128774407b9171ddba42bca4ed9f81dad1e9c35ef44ad13"}
+
+    @pytest.mark.parametrize("name, dims", [("toy", DIMS), ("default", ModelDims())])
+    def test_seed0_flat_vector_is_pinned(self, name, dims):
+        flat = WhamParams(dims, seed=0).params.get_flat()
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == self.FLAT[name], (
+            "the flat parameter order or the weight draw order changed: every saved "
+            "checkpoint would load silently permuted")
 
 
 class TestPinnedOutputs:
